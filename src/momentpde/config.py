@@ -65,7 +65,6 @@ _SOLVER_KEYS = {
     "abs_tol",
     "rel_tol",
     "penalty",
-    "scaling",
     "over_relaxation",
     "adaptive_penalty",
 }

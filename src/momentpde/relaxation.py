@@ -66,6 +66,13 @@ class VariableLayout:
         slot = self.slots[(measure, canon.index)]
         return slot, (-1 if canon.conjugated else 1)
 
+    def entry(self, measure: MeasureTag, idx: MomentIndex) -> dict[int, complex]:
+        """A moment as a complex-linear expression over real slots."""
+        slot, sign = self.resolve(measure, idx)
+        if slot.imag is None:
+            return {slot.real: 1 + 0j}
+        return {slot.real: 1 + 0j, slot.imag: 1j * sign}
+
     def value(self, x: np.ndarray, measure: MeasureTag, idx: MomentIndex) -> complex:
         slot, sign = self.resolve(measure, idx)
         imag = 0.0 if slot.imag is None else sign * x[slot.imag]
@@ -131,6 +138,8 @@ class ConicProblem:
     eq_matrix: sp.csr_matrix  # (num_eq, num_vars)
     eq_rhs: np.ndarray
     objective: np.ndarray  # dense (num_vars,)
+    # one column per equality row, E[:, eq_pivots] nonsingular; None if unknown
+    eq_pivots: np.ndarray | None = None
     layout: VariableLayout | None = None
     initial_table: MomentTable | None = None
     description: str = ""
@@ -153,20 +162,6 @@ def hermitian_embedding(h: np.ndarray) -> np.ndarray:
     """Real symmetric [[A, -B], [B, A]] image of a Hermitian matrix A + iB."""
     a, b = h.real, h.imag
     return np.block([[a, -b], [b, a]])
-
-
-class _ExprBuilder:
-    """Accumulates complex-affine expressions over real slots."""
-
-    def __init__(self, layout: VariableLayout):
-        self.layout = layout
-
-    def entry(self, measure: MeasureTag, idx: MomentIndex) -> dict[int, complex]:
-        slot, sign = self.layout.resolve(measure, idx)
-        expr = {slot.real: 1 + 0j}
-        if slot.imag is not None:
-            expr[slot.imag] = 1j * sign
-        return expr
 
 
 def _embedded_block(
@@ -223,33 +218,43 @@ def build_problem(
             f"({MIN_TIME_DEGREE}, {MIN_ALGEBRAIC_DEGREE}, 0) for a relaxation"
         )
     layout = build_layout(deg, model)
-    expr = _ExprBuilder(layout)
     n = layout.num_vars
 
     # Equalities: real/imag split of the canonical moment constraints, with
-    # initial moments substituted as constants.
+    # initial moments substituted as constants.  A row's pivot is the slot its
+    # recursion step solves for: the terminal moment of the test index at
+    # ell = 0, else the occupation moment (ell - 1, freqs).
     constraints = generate_constraints(model, deg, canonical_only=True)
     eq_rows: list[dict[int, float]] = []
     eq_rhs: list[float] = []
+    eq_pivots: list[int] = []
     for constraint in constraints:
+        ell = constraint.test_index.time_degree
         row_re: dict[int, float] = {}
         row_im: dict[int, float] = {}
+        pivot = None
         const = -constraint.rhs
         for coeff, measure, idx in constraint.terms:
             if measure is MeasureTag.INITIAL:
                 const += coeff * initial_moment(u0, idx)
                 continue
-            for var, gamma in expr.entry(measure, idx).items():
+            entry = layout.entry(measure, idx)
+            if idx.time_degree == ell - 1 or (ell == 0 and measure is MeasureTag.TERMINAL):
+                pivot = entry
+            for var, gamma in entry.items():
                 g = coeff * gamma
                 if g.real != 0.0:
                     row_re[var] = row_re.get(var, 0.0) + g.real
                 if g.imag != 0.0:
                     row_im[var] = row_im.get(var, 0.0) + g.imag
+        pivot_slots = iter(pivot)  # real slot, then imag slot if any
         for row, rhs_part in ((row_re, -const.real), (row_im, -const.imag)):
+            pivot_var = next(pivot_slots, None)
             row = {v: c for v, c in row.items() if c != 0.0}
             if row:
                 eq_rows.append(row)
                 eq_rhs.append(rhs_part)
+                eq_pivots.append(pivot_var)
             elif abs(rhs_part) > 1e-9:
                 raise ValueError(
                     f"inconsistent constant constraint from test index "
@@ -267,14 +272,14 @@ def build_problem(
     term_basis = basis_monomials(0, deg.algebraic // 2, deg.harmonic)
 
     def occ_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
-        return expr.entry(MeasureTag.OCCUPATION, entry_index(row, col))
+        return layout.entry(MeasureTag.OCCUPATION, entry_index(row, col))
 
     def loc_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
         base = entry_index(row, col)
-        e1 = expr.entry(
+        e1 = layout.entry(
             MeasureTag.OCCUPATION, MomentIndex(base.time_degree + 1, base.freqs)
         )
-        e2 = expr.entry(
+        e2 = layout.entry(
             MeasureTag.OCCUPATION, MomentIndex(base.time_degree + 2, base.freqs)
         )
         out = dict(e1)
@@ -283,7 +288,7 @@ def build_problem(
         return {var: gamma for var, gamma in out.items() if gamma != 0}
 
     def term_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
-        return expr.entry(MeasureTag.TERMINAL, entry_index(row, col))
+        return layout.entry(MeasureTag.TERMINAL, entry_index(row, col))
 
     blocks = [
         _embedded_block("occupation_moment", MeasureTag.OCCUPATION, occ_basis, occ_entry, n),
@@ -308,6 +313,7 @@ def build_problem(
         eq_matrix=eq.tocsr(),
         eq_rhs=np.array(eq_rhs),
         objective=objective,
+        eq_pivots=np.array(eq_pivots, dtype=np.int64),
         layout=layout,
         initial_table=initial_table,
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",

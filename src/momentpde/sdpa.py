@@ -150,6 +150,11 @@ def from_sdpa_data(data: SdpaData) -> ConicProblem:
     n = data.num_constraints
     per_block: dict[int, list[Entry]] = {}
     for entry in data.entries:
+        if not 1 <= entry[1] <= len(data.block_sizes):
+            raise ValueError(
+                f"entry {entry} names block {entry[1]}, but the problem has "
+                f"{len(data.block_sizes)} blocks"
+            )
         per_block.setdefault(entry[1], []).append(entry)
 
     blocks: list[Block] = []

@@ -1,19 +1,18 @@
-"""Embedded first-order conic solver: operator splitting with exact equalities.
+"""Embedded first-order conic solver: operator splitting in the equality null space.
 
 The problem is min c.x subject to E x = f and (A_b x + d_b) in the PSD cone
-for every block b.  Splitting introduces a mirror variable S_b per block and
-alternates
+for every block b.  One sparse LU of the pivot columns E_B (one per equality
+row) eliminates the equalities once per solve: x = x0 + Z z with E x0 = f and
+sparse Z = [-E_B^-1 E_N; I].  A mirror variable S_b per block then alternates
 
-  1. an x-step: equality-constrained least squares pulling the block images
-     toward S_b - U_b, solved through a prefactored KKT system, so the
-     equality residual stays at refinement level throughout;
+  1. a z-step: least squares pulling the block images toward S_b - U_b, with
+     one LU of Z^T A^T A Z per solve (it does not depend on the penalty);
   2. a blockwise PSD projection (eigendecomposition, negative eigenvalues
      clamped to zero) giving the new S_b;
   3. a scaled dual update U_b.
 
-Over-relaxation with a fixed factor speeds up the consensus.  Everything is
-deterministic: no randomization, fixed iteration order, optional diagonal
-equilibration of the equality rows only affects the KKT conditioning.
+Equality residuals sit at roundoff.  Over-relaxation with a fixed factor
+speeds up the consensus.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .relaxation import ConicProblem
 
-_DENSE_KKT_LIMIT = 2500
-_KKT_REGULARIZATION = 1e-9
+# Right-hand sides per LU solve while building Z (dense num_eq x _SOLVE_CHUNK).
+_SOLVE_CHUNK = 256
 
 
 @dataclass
@@ -37,7 +37,6 @@ class SolverSettings:
     abs_tol: float = 1e-7
     rel_tol: float = 1e-9
     penalty: float = 1.0  # splitting parameter rho
-    scaling: bool = True
     over_relaxation: float = 1.6
     adaptive_penalty: bool = True  # residual balancing, deterministic
     check_every: int = 25
@@ -81,51 +80,65 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
-class _Kkt:
-    """Prefactored regularized KKT system with iterative refinement.
+def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Particular solution x0 and sparse basis Z with {x : E x = f} = x0 + range(Z).
 
-    The regularization keeps the factorization stable under redundant
-    equality rows; two refinement passes against the exact system remove its
-    bias, so equalities hold to roundoff at every iteration.
+    Problems without recorded pivots get them from a column-pivoted QR of E.
     """
+    eq, f = problem.eq_matrix.tocsc(), problem.eq_rhs
+    n, num_eq = problem.num_vars, problem.num_eq
+    if num_eq == 0:
+        return np.zeros(n), sp.identity(n, format="csr")
+    pivots = problem.eq_pivots
+    if pivots is None:
+        _, r, perm = scipy.linalg.qr(eq.toarray(), mode="economic", pivoting=True)
+        if num_eq > n or abs(r[num_eq - 1, num_eq - 1]) <= 1e-12 * abs(r[0, 0]):
+            raise ValueError("equality rows are linearly dependent")
+        pivots = perm[:num_eq]
+    free = np.setdiff1d(np.arange(n), pivots)
+    e_base, e_free = eq[:, pivots], eq[:, free]
+    lu = spla.splu(e_base)
+    x0 = np.zeros(n)
+    x0[pivots] = lu.solve(f)
 
-    def __init__(self, m: sp.csr_matrix, eq: sp.csr_matrix, rho: float):
-        n = m.shape[0]
-        me = eq.shape[0]
-        self.n, self.me, self.rho = n, me, rho
-        self.m, self.eq = m, eq
-        delta = _KKT_REGULARIZATION
-        kkt = sp.bmat(
-            [
-                [rho * m + delta * sp.eye(n), eq.T],
-                [eq, -delta * sp.eye(me) if me else None],
-            ],
-            format="csc",
-        )
-        if n + me <= _DENSE_KKT_LIMIT:
-            self._lu = scipy.linalg.lu_factor(kkt.toarray())
-            self._solve = lambda rhs: scipy.linalg.lu_solve(self._lu, rhs)
-        else:
-            lu = spla.splu(kkt)
-            self._solve = lu.solve
-
-    def _apply_exact(self, y: np.ndarray) -> np.ndarray:
-        x, nu = y[: self.n], y[self.n :]
-        top = self.rho * (self.m @ x) + (self.eq.T @ nu if self.me else 0.0)
-        bottom = self.eq @ x
-        return np.concatenate([top, bottom])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._solve(rhs)
-        for _ in range(2):
-            y += self._solve(rhs - self._apply_exact(y))
-        return y
+    # E_B is block diagonal up to a permutation.  Free columns that touch
+    # disjoint blocks share one right-hand side (first-fit grouping), and each
+    # block of a solution goes to the one column of its group touching it.
+    _, block = csgraph.connected_components(e_base, connection="weak")
+    used = [0] * (block.max() + 1)  # bitmask of the groups touching each block
+    group = np.zeros(len(free), dtype=np.int64)
+    owners = []  # (block, group, free column)
+    for j in range(len(free)):
+        touched = set(block[e_free.indices[e_free.indptr[j] : e_free.indptr[j + 1]]].tolist())
+        mask = 0
+        for b in touched:
+            mask |= used[b]
+        group[j] = g = (~mask & (mask + 1)).bit_length() - 1  # lowest free group
+        for b in touched:
+            used[b] |= 1 << g
+            owners.append((b, g, j))
+    num_groups = int(group.max(initial=-1)) + 1
+    owner = np.array(sorted(owners), dtype=np.int64).reshape(-1, 3)
+    keys = owner[:, 0] * num_groups + owner[:, 1]
+    grouped = e_free @ sp.csr_matrix(
+        (np.ones(len(free)), (np.arange(len(free)), group)), shape=(len(free), num_groups)
+    )
+    # Z rows: -E_B^-1 E_N on the pivots, the identity on the free columns.
+    rows, cols, vals = [free], [np.arange(len(free))], [np.ones(len(free))]
+    for lo in range(0, num_groups, _SOLVE_CHUNK):
+        sol = lu.solve(grouped[:, lo : lo + _SOLVE_CHUNK].toarray())
+        pos, g = np.nonzero(sol)
+        rows.append(pivots[pos])
+        cols.append(owner[np.searchsorted(keys, block[pos] * num_groups + lo + g), 2])
+        vals.append(-sol[pos, g])
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
 def solve(
     problem: ConicProblem, settings: SolverSettings | None = None
 ) -> tuple[np.ndarray, SolveReport]:
-    """Run the splitting iteration; returns the best iterate and a report."""
+    """Run the splitting iteration; returns the last iterate and a report."""
     settings = settings or SolverSettings()
     n = problem.num_vars
     rho = settings.penalty
@@ -133,29 +146,19 @@ def solve(
 
     blocks = problem.blocks
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
-    d_all = (
-        np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
-    )
+    d_all = np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
     a_all_t = a_all.T.tocsr()
     offsets = np.cumsum([0] + [b.vec_dim for b in blocks])
 
-    eq, f = problem.eq_matrix, problem.eq_rhs
-    if settings.scaling and eq.shape[0]:
-        # Power-of-two equilibration: improves KKT conditioning without
-        # introducing any rounding (binary-exact row scaling).
-        row_max = np.maximum(np.abs(eq).max(axis=1).toarray().ravel(), 1e-12)
-        row_scale = np.exp2(-np.round(np.log2(row_max)))
-        eq_s, f_s = (sp.diags(row_scale) @ eq).tocsr(), f * row_scale
-    else:
-        eq_s, f_s = eq, f
-
-    m_gram = (a_all_t @ a_all).tocsr()
-    kkt = _Kkt(m_gram, eq_s, rho)
-
-    c = problem.objective
+    eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
+    x0, z_basis = null_space(problem)
+    z_basis_t = z_basis.T.tocsr()
+    h_lu = spla.splu((z_basis_t @ ((a_all_t @ a_all) @ z_basis)).tocsc())
+    v0 = a_all @ x0 + d_all  # block images at z = 0
+    c_z = z_basis_t @ c
     s_all = np.zeros(a_all.shape[0])
     u_all = np.zeros_like(s_all)
-    x = np.zeros(n)
+    x = x0
     history: list[float] | None = [] if settings.track_residuals else None
 
     def project_all(v: np.ndarray) -> np.ndarray:
@@ -165,9 +168,7 @@ def solve(
             if block.diagonal:
                 out[seg] = np.maximum(v[seg], 0.0)
             else:
-                out[seg] = project_psd(
-                    v[seg].reshape(block.size, block.size)
-                ).ravel()
+                out[seg] = project_psd(v[seg].reshape(block.size, block.size)).ravel()
         return out
 
     def min_block_eig(v: np.ndarray) -> float:
@@ -178,20 +179,16 @@ def solve(
                 worst = min(worst, float(seg.min()) if len(seg) else np.inf)
             else:
                 mat = seg.reshape(block.size, block.size)
-                worst = min(
-                    worst, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-                )
+                worst = min(worst, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
         return worst if blocks else 0.0
 
     status = "max_iters"
     iterations = settings.max_iters
     prev_obj = np.inf
-    rhs = np.zeros(n + eq_s.shape[0])
-    rhs[n:] = f_s
 
     for it in range(1, settings.max_iters + 1):
-        rhs[:n] = rho * (a_all_t @ (s_all - u_all - d_all)) - c
-        x = kkt.solve(rhs)[:n]
+        z = h_lu.solve(z_basis_t @ (a_all_t @ (s_all - u_all - v0)) - c_z / rho)
+        x = x0 + z_basis @ z
         v_all = a_all @ x + d_all
         v_relaxed = alpha * v_all + (1.0 - alpha) * s_all
         s_prev, u_prev = s_all, u_all
@@ -203,22 +200,22 @@ def solve(
             iterations = it
             break
 
-        primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
-        dual = (
-            float(rho * np.abs(a_all_t @ (s_all - s_prev)).max()) if len(s_all) else 0.0
-        )
         if history is not None:
             # fixed-point displacement of the splitting step; monotone
             # non-increasing for an averaged operator iteration
             history.append(
-                float(
-                    np.sqrt(
-                        np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)
-                    )
-                )
+                float(np.sqrt(np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)))
             )
 
-        if it % settings.check_every == 0 or it == settings.max_iters:
+        check = it % settings.check_every == 0 or it == settings.max_iters
+        adapt = settings.adaptive_penalty and it < settings.max_iters
+        adapt = adapt and it % settings.adapt_every == 0
+        if not (check or adapt):
+            continue
+        primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
+        dual = float(rho * np.abs(a_all_t @ (s_all - s_prev)).max()) if len(s_all) else 0.0
+
+        if check:
             eq_res = float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
             obj = float(c @ x)
             obj_stable = abs(obj - prev_obj) <= settings.rel_tol * max(1.0, abs(obj))
@@ -234,28 +231,20 @@ def solve(
                 iterations = it
                 break
 
-        if (
-            settings.adaptive_penalty
-            and it % settings.adapt_every == 0
-            and it < settings.max_iters
-        ):
+        if adapt:
             # Residual balancing; the scaled duals U = Lambda / rho follow rho.
             if primal > 10 * dual and rho < 1e5 * settings.penalty:
                 rho *= 2.0
                 u_all /= 2.0
-                kkt = _Kkt(m_gram, eq_s, rho)
             elif dual > 10 * primal and rho > 1e-5 * settings.penalty:
                 rho /= 2.0
                 u_all *= 2.0
-                kkt = _Kkt(m_gram, eq_s, rho)
 
     v_all = a_all @ x + d_all
     report = SolveReport(
         status=status,
         primal_objective=float(c @ x),
-        max_equality_residual=(
-            float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
-        ),
+        max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
         min_block_eigenvalue=min_block_eig(v_all),
         iterations=iterations,
         residual_history=history,

@@ -145,6 +145,14 @@ def test_read_sdpa_rejects_malformed(tmp_path):
         read_sdpa(path)
 
 
+def test_out_of_range_block_is_rejected(tmp_path):
+    path = tmp_path / "blocks.dat-s"
+    for blkno in (7, 0):
+        path.write_text(f"1\n1\n2\n1.0\n1 1 1 1 1.0\n1 {blkno} 1 1 5.0\n")
+        with pytest.raises(ValueError, match=f"block {blkno}"):
+            from_sdpa_data(read_sdpa(path))
+
+
 def test_read_solution_skips_blank_lines(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("1.5\n\n-2.25\n")

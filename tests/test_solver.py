@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from momentpde.models import Linear
+from momentpde.indices import TruncationDegrees
+from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
-from momentpde.solver import SolverSettings, project_psd, solve
+from momentpde.solver import SolverSettings, null_space, project_psd, solve
+
+MODELS = [Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1)]
 
 
 def symmetric_variable_block(n, num_vars, var_of_entry):
@@ -118,3 +121,60 @@ def test_linear_heat_222_feasibility(u0, deg222):
     assert report.status == "optimal"
     assert report.max_equality_residual <= 1e-6
     assert report.min_block_eigenvalue >= -1e-6
+
+
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_null_space_of_generated_equalities(u0, model, triple):
+    problem = build_problem(model, TruncationDegrees(*triple), u0)
+    assert len(problem.eq_pivots) == len(np.unique(problem.eq_pivots)) == problem.num_eq
+    x0, z_basis = null_space(problem)
+    assert z_basis.shape == (problem.num_vars, problem.num_vars - problem.num_eq)
+    eq_z = abs(problem.eq_matrix @ z_basis)
+    assert eq_z.sum(axis=1).max() <= 1e-12
+    assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_first_x_step_matches_dense_kkt_solve(u0, deg222, model):
+    # From S = U = 0 the first x-step minimizes (rho/2)|A x + d|^2 + c.x
+    # subject to E x = f.
+    problem = build_problem(model, deg222, u0)
+    rho = 2.0
+    x, _ = solve(problem, SolverSettings(max_iters=1, penalty=rho))
+    a = np.vstack([b.coeffs.toarray() for b in problem.blocks])
+    d = np.concatenate([b.const for b in problem.blocks])
+    e = problem.eq_matrix.toarray()
+    n, m = problem.num_vars, problem.num_eq
+    kkt = np.block([[rho * a.T @ a, e.T], [e, np.zeros((m, m))]])
+    rhs = np.concatenate([-rho * a.T @ d - problem.objective, problem.eq_rhs])
+    reference = np.linalg.solve(kkt, rhs)[:n]
+    assert np.abs(x - reference).max() <= 1e-10
+
+
+def test_equalities_hold_to_roundoff_during_solve(u0, deg422):
+    problem = build_problem(Linear(), deg422, u0)
+    _, report = solve(problem, SolverSettings(max_iters=200))
+    assert report.iterations == 200
+    assert report.max_equality_residual <= 1e-12
+
+
+def test_hand_built_problem_gets_pivots_by_qr():
+    problem = rank_one_forcing_problem()
+    assert problem.eq_pivots is None
+    x0, z_basis = null_space(problem)
+    assert z_basis.shape == (3, 1)
+    assert np.abs(problem.eq_matrix @ z_basis).max() <= 1e-15
+    assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-15
+
+
+def test_dependent_equality_rows_are_rejected():
+    problem = ConicProblem(
+        num_vars=3,
+        blocks=[symmetric_variable_block(2, 3, {(0, 0): 0, (0, 1): 1, (1, 1): 2})],
+        eq_matrix=sp.csr_matrix(np.array([[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])),
+        eq_rhs=np.array([0.0, 0.0]),
+        objective=np.array([1.0, 0.0, 1.0]),
+    )
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve(problem)
