@@ -6,9 +6,10 @@ three groups together, three Hermitian blocks (moment, localizing and
 terminal matrices, real-embedded) must be PSD, and the sum of the moment
 and terminal traces is minimized to keep the pseudo-moments from growing.
 
-The embedded solver alternates an equality-constrained least-squares step
-(prefactored KKT system, so equalities hold to roundoff from the first
-iteration) with blockwise PSD projections.  Accuracy is graded against the
+The embedded solver eliminates the equalities once, writing x = x0 + Z z
+with one sparse LU of Z^T A^T A Z per solve, so equalities hold to roundoff
+from the first iteration.  It then alternates a least-squares step in z with
+blockwise PSD projections.  Accuracy is graded against the
 closed-form moments: the fraction of canonical occupation pseudo-moments
 within each relative-error threshold.
 """

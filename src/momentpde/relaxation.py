@@ -247,11 +247,16 @@ def build_problem(
                     row_re[var] = row_re.get(var, 0.0) + g.real
                 if g.imag != 0.0:
                     row_im[var] = row_im.get(var, 0.0) + g.imag
-        pivot_slots = iter(pivot)  # real slot, then imag slot if any
+        pivot_slots = iter(pivot or ())  # real slot, then imag slot if any
         for row, rhs_part in ((row_re, -const.real), (row_im, -const.imag)):
             pivot_var = next(pivot_slots, None)
             row = {v: c for v, c in row.items() if c != 0.0}
             if row:
+                if pivot_var is None:
+                    raise ValueError(
+                        f"no pivot slot for a row of the constraint of test "
+                        f"index {constraint.test_index}"
+                    )
                 eq_rows.append(row)
                 eq_rhs.append(rhs_part)
                 eq_pivots.append(pivot_var)

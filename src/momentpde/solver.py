@@ -23,12 +23,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .relaxation import ConicProblem
 
-# Right-hand sides per LU solve while building Z (dense num_eq x _SOLVE_CHUNK).
-_SOLVE_CHUNK = 256
+# Right-hand sides per LU solve while building Z.  Each solve holds a dense
+# num_eq x _SOLVE_CHUNK array; 16 keeps that under 0.5 MB at (4,4,4).
+_SOLVE_CHUNK = 16
 
 
 @dataclass
@@ -97,40 +97,21 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
         pivots = perm[:num_eq]
     free = np.setdiff1d(np.arange(n), pivots)
     e_base, e_free = eq[:, pivots], eq[:, free]
-    lu = spla.splu(e_base)
+    try:
+        lu = spla.splu(e_base)
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise ValueError(f"the equality pivot columns are singular: {err}") from err
     x0 = np.zeros(n)
     x0[pivots] = lu.solve(f)
 
-    # E_B is block diagonal up to a permutation.  Free columns that touch
-    # disjoint blocks share one right-hand side (first-fit grouping), and each
-    # block of a solution goes to the one column of its group touching it.
-    _, block = csgraph.connected_components(e_base, connection="weak")
-    used = [0] * (block.max() + 1)  # bitmask of the groups touching each block
-    group = np.zeros(len(free), dtype=np.int64)
-    owners = []  # (block, group, free column)
-    for j in range(len(free)):
-        touched = set(block[e_free.indices[e_free.indptr[j] : e_free.indptr[j + 1]]].tolist())
-        mask = 0
-        for b in touched:
-            mask |= used[b]
-        group[j] = g = (~mask & (mask + 1)).bit_length() - 1  # lowest free group
-        for b in touched:
-            used[b] |= 1 << g
-            owners.append((b, g, j))
-    num_groups = int(group.max(initial=-1)) + 1
-    owner = np.array(sorted(owners), dtype=np.int64).reshape(-1, 3)
-    keys = owner[:, 0] * num_groups + owner[:, 1]
-    grouped = e_free @ sp.csr_matrix(
-        (np.ones(len(free)), (np.arange(len(free)), group)), shape=(len(free), num_groups)
-    )
     # Z rows: -E_B^-1 E_N on the pivots, the identity on the free columns.
     rows, cols, vals = [free], [np.arange(len(free))], [np.ones(len(free))]
-    for lo in range(0, num_groups, _SOLVE_CHUNK):
-        sol = lu.solve(grouped[:, lo : lo + _SOLVE_CHUNK].toarray())
-        pos, g = np.nonzero(sol)
+    for lo in range(0, len(free), _SOLVE_CHUNK):
+        sol = lu.solve(e_free[:, lo : lo + _SOLVE_CHUNK].toarray())
+        pos, j = np.nonzero(sol)
         rows.append(pivots[pos])
-        cols.append(owner[np.searchsorted(keys, block[pos] * num_groups + lo + g), 2])
-        vals.append(-sol[pos, g])
+        cols.append(lo + j)
+        vals.append(-sol[pos, j])
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
@@ -146,7 +127,9 @@ def solve(
 
     blocks = problem.blocks
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
-    d_all = np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
+    d_all = (
+        np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
+    )
     a_all_t = a_all.T.tocsr()
     offsets = np.cumsum([0] + [b.vec_dim for b in blocks])
 
@@ -168,7 +151,9 @@ def solve(
             if block.diagonal:
                 out[seg] = np.maximum(v[seg], 0.0)
             else:
-                out[seg] = project_psd(v[seg].reshape(block.size, block.size)).ravel()
+                out[seg] = project_psd(
+                    v[seg].reshape(block.size, block.size)
+                ).ravel()
         return out
 
     def min_block_eig(v: np.ndarray) -> float:
@@ -179,7 +164,9 @@ def solve(
                 worst = min(worst, float(seg.min()) if len(seg) else np.inf)
             else:
                 mat = seg.reshape(block.size, block.size)
-                worst = min(worst, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()))
+                worst = min(
+                    worst, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+                )
         return worst if blocks else 0.0
 
     status = "max_iters"
@@ -204,16 +191,25 @@ def solve(
             # fixed-point displacement of the splitting step; monotone
             # non-increasing for an averaged operator iteration
             history.append(
-                float(np.sqrt(np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)))
+                float(
+                    np.sqrt(
+                        np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)
+                    )
+                )
             )
 
         check = it % settings.check_every == 0 or it == settings.max_iters
-        adapt = settings.adaptive_penalty and it < settings.max_iters
-        adapt = adapt and it % settings.adapt_every == 0
+        adapt = (
+            settings.adaptive_penalty
+            and it % settings.adapt_every == 0
+            and it < settings.max_iters
+        )
         if not (check or adapt):
             continue
         primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
-        dual = float(rho * np.abs(a_all_t @ (s_all - s_prev)).max()) if len(s_all) else 0.0
+        dual = (
+            float(rho * np.abs(a_all_t @ (s_all - s_prev)).max()) if len(s_all) else 0.0
+        )
 
         if check:
             eq_res = float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
@@ -244,7 +240,9 @@ def solve(
     report = SolveReport(
         status=status,
         primal_objective=float(c @ x),
-        max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
+        max_equality_residual=(
+            float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
+        ),
         min_block_eigenvalue=min_block_eig(v_all),
         iterations=iterations,
         residual_history=history,

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from momentpde import relaxation
 from momentpde.analytic import analytic_tables
 from momentpde.indices import MomentIndex, TruncationDegrees
-from momentpde.models import DistributedQuadratic, Linear, MeasureTag
+from momentpde.models import DistributedQuadratic, Linear, MeasureTag, generate_constraints
 from momentpde.relaxation import (
     build_layout,
     build_problem,
@@ -140,3 +143,17 @@ def test_nonlinear_constraints_embed_consistently(u0, deg422):
         x = embed_tables(problem.layout, tables)
         res[eps] = np.abs(problem.eq_matrix @ x - problem.eq_rhs).max()
     assert res[1e-2] == pytest.approx(100 * res[1e-4], rel=1e-6)
+
+
+def test_constraint_without_its_pivot_is_rejected(u0, deg222, monkeypatch):
+    # Drop the occupation moment (ell - 1, freqs) that an ell > 0 row solves for.
+    constraints = generate_constraints(Linear(), deg222, canonical_only=True)
+    target = next(c for c in constraints if c.test_index.time_degree > 0)
+    ell = target.test_index.time_degree
+    stripped = replace(
+        target, terms=tuple(t for t in target.terms if t[2].time_degree != ell - 1)
+    )
+    patched = [stripped if c is target else c for c in constraints]
+    monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: patched)
+    with pytest.raises(ValueError, match="no pivot slot"):
+        build_problem(Linear(), deg222, u0)

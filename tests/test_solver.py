@@ -159,11 +159,12 @@ def test_equalities_hold_to_roundoff_during_solve(u0, deg422):
     assert report.max_equality_residual <= 1e-12
 
 
-def test_hand_built_problem_gets_pivots_by_qr():
-    problem = rank_one_forcing_problem()
+@pytest.mark.parametrize("make", [min_trace_completion_problem, rank_one_forcing_problem])
+def test_hand_built_problem_gets_pivots_by_qr(make):
+    problem = make()
     assert problem.eq_pivots is None
     x0, z_basis = null_space(problem)
-    assert z_basis.shape == (3, 1)
+    assert z_basis.shape == (3, 3 - problem.num_eq)
     assert np.abs(problem.eq_matrix @ z_basis).max() <= 1e-15
     assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-15
 
@@ -178,3 +179,10 @@ def test_dependent_equality_rows_are_rejected():
     )
     with pytest.raises(ValueError, match="linearly dependent"):
         solve(problem)
+
+
+def test_singular_pivot_columns_are_rejected():
+    problem = rank_one_forcing_problem()
+    problem.eq_pivots = np.array([0, 2])  # the first row vanishes on both
+    with pytest.raises(ValueError, match="pivot columns are singular"):
+        null_space(problem)
