@@ -17,11 +17,9 @@ from .analytic import (
 from .compare import matching_percentages, relative_error, relative_errors
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .galerkin import (
-    GalerkinState,
     Trajectory,
     integrate,
     oracle_tables,
-    rhs,
     trajectory_moments,
 )
 from .indices import (

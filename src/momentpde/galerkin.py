@@ -9,9 +9,7 @@ truncation and step size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import simpson
@@ -33,20 +31,6 @@ from .tables import MomentTable
 
 
 @dataclass
-class GalerkinState:
-    """Mode coefficients u_n(t) for |n| <= cutoff at a single time."""
-
-    modes: np.ndarray  # complex, length 2*cutoff + 1, index n + cutoff
-    cutoff: int
-    time: float
-
-    def mode(self, n: int) -> complex:
-        if abs(n) > self.cutoff:
-            return 0j
-        return complex(self.modes[n + self.cutoff])
-
-
-@dataclass
 class Trajectory:
     """RK4 samples of the Galerkin system on [0, 1]."""
 
@@ -58,9 +42,6 @@ class Trajectory:
         if abs(n) > self.cutoff:
             return np.zeros_like(self.times, dtype=complex)
         return self.states[:, n + self.cutoff]
-
-    def state(self, i: int) -> GalerkinState:
-        return GalerkinState(self.states[i].copy(), self.cutoff, float(self.times[i]))
 
     def conjugate_symmetry_error(self) -> float:
         """Max |u_{-n} - conj(u_n)| along the trajectory."""
@@ -81,11 +62,6 @@ def _mode_derivatives(model: HeatModel, u: np.ndarray, cutoff: int) -> np.ndarra
         conv = np.convolve(u, u)
         du += model.epsilon * conv[cutoff : 3 * cutoff + 1]
     return du
-
-
-def rhs(model: HeatModel, state: GalerkinState) -> np.ndarray:
-    """Time derivatives of the mode coefficients under the given model."""
-    return _mode_derivatives(model, state.modes, state.cutoff)
 
 
 def integrate(
@@ -194,18 +170,3 @@ def oracle_tables(
         MeasureTag.OCCUPATION: occupation,
     }
 
-
-def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
-    """Dump the sampled modes as columns (t, re(u_n), im(u_n) for each n)."""
-    cutoff = trajectory.cutoff
-    header = ["t"]
-    for n in range(-cutoff, cutoff + 1):
-        header += [f"re_u{n}", f"im_u{n}"]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for t, row in zip(trajectory.times, trajectory.states):
-            out = [repr(float(t))]
-            for v in row:
-                out += [repr(v.real), repr(v.imag)]
-            writer.writerow(out)

@@ -9,14 +9,23 @@ the time degree, so all time degrees alias the ell = 0 slot.
 
 Positive semidefiniteness is imposed on three Hermitian blocks: the
 occupation moment matrix, the occupation localizing matrix with weight
-t(1-t), and the terminal moment matrix.  Each Hermitian block H = A + iB is
-embedded as the real symmetric block [[A, -B], [B, A]] of doubled size, which
-has the same eigenvalues with doubled multiplicity.  The objective is the
-sum of the Hermitian traces of the occupation and terminal moment blocks.
+t(1-t), and the terminal moment matrix.  Each is described once by a
+``BlockSpec``: a name, a measure, a row/column basis and a tuple of
+(time shift, sign) terms.  Entry (r, c) is the sum over the terms of
+sign * y[ell + shift; freqs], where (ell, freqs) is the entry index of
+basis[r] times conjugated basis[c]; the moment blocks have the single term
+(0, +1) and the localizer (1, +1), (2, -1), i.e. t - t^2.  The same spec
+yields the numeric Hermitian matrix of a moment table and the affine map of
+the solver's block, built from the upper triangle with the lower triangle
+as its conjugate.  Each Hermitian block H = A + iB is embedded as the real
+symmetric block [[A, -B], [B, A]] of doubled size, which has the same
+eigenvalues with doubled multiplicity.  The objective is the sum of the
+Hermitian traces of the two moment blocks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +82,8 @@ class VariableLayout:
             return {slot.real: 1 + 0j}
         return {slot.real: 1 + 0j, slot.imag: 1j * sign}
 
-    def value(self, x: np.ndarray, measure: MeasureTag, idx: MomentIndex) -> complex:
-        slot, sign = self.resolve(measure, idx)
-        imag = 0.0 if slot.imag is None else sign * x[slot.imag]
-        return complex(x[slot.real], imag)
 
-
-def build_layout(deg: TruncationDegrees, model: HeatModel | None = None) -> VariableLayout:
+def build_layout(deg: TruncationDegrees) -> VariableLayout:
     """Deterministic slot numbering: occupation moments first, then terminal."""
     slots: dict[tuple[MeasureTag, MomentIndex], Slot] = {}
     counter = 0
@@ -116,7 +120,6 @@ class Block:
     coeffs: sp.csr_matrix  # (vec_dim, num_vars)
     const: np.ndarray  # (vec_dim,)
     diagonal: bool = False
-    hermitian_dim: int | None = None  # size // 2 for embedded Hermitian blocks
 
     @property
     def vec_dim(self) -> int:
@@ -164,44 +167,76 @@ def hermitian_embedding(h: np.ndarray) -> np.ndarray:
     return np.block([[a, -b], [b, a]])
 
 
-def _embedded_block(
-    name: str,
-    measure: MeasureTag,
-    basis: list[BasisMonomial],
-    entry_expr,
-    num_vars: int,
-) -> Block:
-    m = len(basis)
-    size = 2 * m
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
+MOMENT = ((0, 1),)
+LOCALIZER = ((1, 1), (2, -1))  # weight t(1 - t) = t - t^2
 
-    def put(r: int, c: int, var: int, value: float) -> None:
-        if value != 0.0:
-            rows.append(r * size + c)
-            cols.append(var)
-            data.append(value)
 
-    for r, row_mono in enumerate(basis):
-        for c, col_mono in enumerate(basis):
-            for var, gamma in entry_expr(row_mono, col_mono).items():
-                re, im = gamma.real, gamma.imag
-                put(r, c, var, re)
-                put(m + r, m + c, var, re)
-                put(r, m + c, var, -im)
-                put(m + r, c, var, im)
+@dataclass(frozen=True)
+class BlockSpec:
+    """One Hermitian PSD block: its basis and the moment terms of an entry."""
 
-    coeffs = sp.coo_matrix(
-        (data, (rows, cols)), shape=(size * size, num_vars)
-    ).tocsr()
-    return Block(
-        name=name,
-        size=size,
-        coeffs=coeffs,
-        const=np.zeros(size * size),
-        hermitian_dim=m,
+    name: str
+    measure: MeasureTag
+    basis: list[BasisMonomial]
+    terms: tuple[tuple[int, int], ...]  # (time shift, sign) per moment
+
+    def upper_terms(self) -> Iterator[tuple[int, int, int, MomentIndex]]:
+        """(row, col, sign, moment index) of every term on or above the diagonal."""
+        basis = self.basis
+        for r, row in enumerate(basis):
+            for c in range(r, len(basis)):
+                base = entry_index(row, basis[c])
+                for shift, sign in self.terms:
+                    yield r, c, sign, MomentIndex(base.time_degree + shift, base.freqs)
+
+
+def block_specs(deg: TruncationDegrees) -> tuple[BlockSpec, BlockSpec, BlockSpec]:
+    """Occupation moment, occupation localizing and terminal moment blocks."""
+    half_alg = deg.algebraic // 2
+    return (
+        BlockSpec("occupation_moment", MeasureTag.OCCUPATION, enumerate_matrix_basis(deg), MOMENT),
+        BlockSpec(
+            "occupation_localizing",
+            MeasureTag.OCCUPATION,
+            basis_monomials(deg.time // 2 - 1, half_alg, deg.harmonic),
+            LOCALIZER,
+        ),
+        BlockSpec(
+            "terminal_moment",
+            MeasureTag.TERMINAL,
+            basis_monomials(0, half_alg, deg.harmonic),
+            MOMENT,
+        ),
     )
+
+
+def _embedded_block(spec: BlockSpec, layout: VariableLayout) -> Block:
+    """The spec's block as an affine map into its real embedding."""
+    m = len(spec.basis)
+    size = 2 * m
+    # One complex coefficient gamma per (row, col, slot) of the upper triangle.
+    keys: list[tuple[int, int, int]] = []
+    gamma: list[complex] = []
+    for r, c, sign, idx in spec.upper_terms():
+        for var, coeff in layout.entry(spec.measure, idx).items():
+            keys.append((r, c, var))
+            gamma.append(sign * coeff)
+    r, c, var = np.array(keys, dtype=np.int64).T
+    gamma = np.array(gamma, dtype=complex)
+    low = r < c  # mirrored below the diagonal as the conjugate
+    r, c = np.concatenate([r, c[low]]), np.concatenate([c, r[low]])
+    var = np.concatenate([var, var[low]])
+    gamma = np.concatenate([gamma, gamma[low].conj()])
+    # [[A, -B], [B, A]] with H = A + iB
+    rows = np.concatenate([r, m + r, r, m + r])
+    cols = np.concatenate([c, m + c, m + c, c])
+    vals = np.concatenate([gamma.real, gamma.real, -gamma.imag, gamma.imag])
+    keep = vals != 0.0
+    coeffs = sp.coo_matrix(
+        (vals[keep], (rows[keep] * size + cols[keep], np.tile(var, 4)[keep])),
+        shape=(size * size, layout.num_vars),
+    ).tocsr()
+    return Block(name=spec.name, size=size, coeffs=coeffs, const=np.zeros(size * size))
 
 
 MIN_TIME_DEGREE = 2
@@ -217,7 +252,7 @@ def build_problem(
             f"degrees {deg.as_tuple()} below the minimum "
             f"({MIN_TIME_DEGREE}, {MIN_ALGEBRAIC_DEGREE}, 0) for a relaxation"
         )
-    layout = build_layout(deg, model)
+    layout = build_layout(deg)
     n = layout.num_vars
 
     # Equalities: real/imag split of the canonical moment constraints, with
@@ -271,42 +306,16 @@ def build_problem(
         for var, c in row.items():
             eq[i, var] = c
 
-    # PSD blocks.
-    occ_basis = enumerate_matrix_basis(deg)
-    loc_basis = basis_monomials(deg.time // 2 - 1, deg.algebraic // 2, deg.harmonic)
-    term_basis = basis_monomials(0, deg.algebraic // 2, deg.harmonic)
+    specs = block_specs(deg)
+    blocks = [_embedded_block(spec, layout) for spec in specs]
 
-    def occ_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
-        return layout.entry(MeasureTag.OCCUPATION, entry_index(row, col))
-
-    def loc_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
-        base = entry_index(row, col)
-        e1 = layout.entry(
-            MeasureTag.OCCUPATION, MomentIndex(base.time_degree + 1, base.freqs)
-        )
-        e2 = layout.entry(
-            MeasureTag.OCCUPATION, MomentIndex(base.time_degree + 2, base.freqs)
-        )
-        out = dict(e1)
-        for var, gamma in e2.items():
-            out[var] = out.get(var, 0j) - gamma
-        return {var: gamma for var, gamma in out.items() if gamma != 0}
-
-    def term_entry(row: BasisMonomial, col: BasisMonomial) -> dict[int, complex]:
-        return layout.entry(MeasureTag.TERMINAL, entry_index(row, col))
-
-    blocks = [
-        _embedded_block("occupation_moment", MeasureTag.OCCUPATION, occ_basis, occ_entry, n),
-        _embedded_block("occupation_localizing", MeasureTag.OCCUPATION, loc_basis, loc_entry, n),
-        _embedded_block("terminal_moment", MeasureTag.TERMINAL, term_basis, term_entry, n),
-    ]
-
-    # Objective: Hermitian traces of the occupation and terminal moment blocks.
+    # Objective: Hermitian traces of the moment blocks, half the traces of
+    # their embeddings.
     objective = np.zeros(n)
-    for basis, measure in ((occ_basis, MeasureTag.OCCUPATION), (term_basis, MeasureTag.TERMINAL)):
-        for mono in basis:
-            slot, _ = layout.resolve(measure, entry_index(mono, mono))
-            objective[slot.real] += 1.0
+    for spec, block in zip(specs, blocks):
+        if spec.terms == MOMENT:
+            diagonal = np.arange(block.size) * (block.size + 1)
+            objective += 0.5 * np.asarray(block.coeffs[diagonal].sum(axis=0)).ravel()
 
     initial_table = MomentTable.from_function(
         lambda idx: initial_moment(u0, idx), enumerate_moment_vector(deg)
@@ -365,43 +374,27 @@ def extract_pseudomoments(
     return out
 
 
-def _hermitian_from_table(
-    table: MomentTable, basis: list[BasisMonomial], entry_fn
-) -> np.ndarray:
-    m = len(basis)
-    h = np.empty((m, m), dtype=complex)
-    for r, row_mono in enumerate(basis):
-        for c in range(r, m):
-            value = entry_fn(row_mono, basis[c])
-            h[r, c] = value
-            h[c, r] = value.conjugate()
+def hermitian_matrix(spec: BlockSpec, table: MomentTable) -> np.ndarray:
+    """Numeric Hermitian matrix of a block spec over one moment table."""
+    m = len(spec.basis)
+    h = np.zeros((m, m), dtype=complex)
+    for r, c, sign, idx in spec.upper_terms():
+        h[r, c] += sign * table.get(idx)
+    lower = np.tril_indices(m)
+    h[lower] = h.T[lower].conj()
     return h
 
 
 def moment_matrix(table: MomentTable, deg: TruncationDegrees) -> np.ndarray:
     """Numeric Hermitian moment matrix of an occupation (or terminal) table."""
-    basis = enumerate_matrix_basis(deg)
-    return _hermitian_from_table(
-        table, basis, lambda r, c: table.get(entry_index(r, c))
-    )
+    return hermitian_matrix(block_specs(deg)[0], table)
 
 
 def localizing_matrix(table: MomentTable, deg: TruncationDegrees) -> np.ndarray:
     """Numeric Hermitian localizing matrix with weight t(1-t)."""
-    basis = basis_monomials(deg.time // 2 - 1, deg.algebraic // 2, deg.harmonic)
-
-    def entry(r: BasisMonomial, c: BasisMonomial) -> complex:
-        base = entry_index(r, c)
-        return table.get(
-            MomentIndex(base.time_degree + 1, base.freqs)
-        ) - table.get(MomentIndex(base.time_degree + 2, base.freqs))
-
-    return _hermitian_from_table(table, basis, entry)
+    return hermitian_matrix(block_specs(deg)[1], table)
 
 
 def terminal_matrix(table: MomentTable, deg: TruncationDegrees) -> np.ndarray:
     """Numeric Hermitian moment matrix of a terminal table (time degree zero)."""
-    basis = basis_monomials(0, deg.algebraic // 2, deg.harmonic)
-    return _hermitian_from_table(
-        table, basis, lambda r, c: table.get(entry_index(r, c))
-    )
+    return hermitian_matrix(block_specs(deg)[2], table)

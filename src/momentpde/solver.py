@@ -29,6 +29,9 @@ from .relaxation import ConicProblem
 # Right-hand sides per LU solve while building Z.  Each solve holds a dense
 # num_eq x _SOLVE_CHUNK array; 16 keeps that under 0.5 MB at (4,4,4).
 _SOLVE_CHUNK = 16
+# Iterations between termination checks, and between penalty adaptations.
+_CHECK_EVERY = 25
+_ADAPT_EVERY = 500
 
 
 @dataclass
@@ -39,8 +42,6 @@ class SolverSettings:
     penalty: float = 1.0  # splitting parameter rho
     over_relaxation: float = 1.6
     adaptive_penalty: bool = True  # residual balancing, deterministic
-    check_every: int = 25
-    adapt_every: int = 500
     track_residuals: bool = False
 
     def __post_init__(self) -> None:
@@ -198,10 +199,10 @@ def solve(
                 )
             )
 
-        check = it % settings.check_every == 0 or it == settings.max_iters
+        check = it % _CHECK_EVERY == 0 or it == settings.max_iters
         adapt = (
             settings.adaptive_penalty
-            and it % settings.adapt_every == 0
+            and it % _ADAPT_EVERY == 0
             and it < settings.max_iters
         )
         if not (check or adapt):

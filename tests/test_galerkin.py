@@ -5,12 +5,10 @@ import pytest
 
 from momentpde.analytic import analytic_occupation_moment, analytic_terminal_moment
 from momentpde.galerkin import (
-    GalerkinState,
+    _mode_derivatives,
     integrate,
     oracle_tables,
-    rhs,
     trajectory_moments,
-    write_trajectory_csv,
 )
 from momentpde.indices import MomentIndex, TruncationDegrees
 from momentpde.models import (
@@ -22,39 +20,39 @@ from momentpde.models import (
 )
 
 
-def _state(values, cutoff):
-    return GalerkinState(np.array(values, dtype=complex), cutoff, 0.0)
+def derivatives(model, values):
+    """Mode derivatives of u_n, n = -2..2, given as a list indexed n + 2."""
+    return _mode_derivatives(model, np.array(values, dtype=complex), 2)
 
 
 def test_rhs_linear_mode_decay():
-    state = _state([0, 0, 0, 1, 0], 2)
-    assert rhs(Linear(), state)[3] == -1  # mode n=1 decays at rate n^2
+    d = derivatives(Linear(), [0, 0, 0, 1, 0])
+    assert d[3] == -1  # mode n=1 decays at rate n^2
 
 
 def test_rhs_distributed_forcing_hits_mode_zero():
-    state = _state([0, 1, 0, 1, 0], 2)  # u_1 = u_{-1} = 1
-    d = rhs(DistributedQuadratic(1.0, 1, 1), state)
+    d = derivatives(DistributedQuadratic(1.0, 1, 1), [0, 1, 0, 1, 0])  # u_1 = u_{-1} = 1
     assert d[2] == pytest.approx(4.0)  # (1+1)*(1+1) forcing on mode 0
     assert d[1] == pytest.approx(-1.0)  # other modes stay linear
 
 
 def test_rhs_local_zero_epsilon_equals_linear():
-    state = _state([0.1 + 0.2j, 1, 0.3, 1, 0.1 - 0.2j], 2)
-    assert np.allclose(rhs(LocalQuadratic(0.0), state), rhs(Linear(), state))
+    values = [0.1 + 0.2j, 1, 0.3, 1, 0.1 - 0.2j]
+    linear = derivatives(Linear(), values)
+    assert np.allclose(derivatives(LocalQuadratic(0.0), values), linear)
 
 
 def test_rhs_local_convolution_brute_force():
     values = [0.2 - 0.1j, 0.5, 1.0, 0.5, 0.2 + 0.1j]
-    state = _state(values, 2)
     eps = 0.7
-    d = rhs(LocalQuadratic(eps), state)
+    d = derivatives(LocalQuadratic(eps), values)
     for n in range(-2, 3):
         conv = sum(
-            state.mode(m) * state.mode(n - m)
+            values[m + 2] * values[n - m + 2]
             for m in range(-2, 3)
             if abs(n - m) <= 2
         )
-        assert d[n + 2] == pytest.approx(-n * n * state.mode(n) + eps * conv)
+        assert d[n + 2] == pytest.approx(-n * n * values[n + 2] + eps * conv)
 
 
 def test_integrate_linear_exponential_decay(u0):
@@ -156,12 +154,3 @@ def test_distributed_tables_satisfy_model_constraints(u0, deg422):
         oracle_tables(model, u0, deg422, step=1e-3, cutoff=deg422.harmonic),
     )
     assert res <= 1e-8
-
-
-def test_trajectory_csv(tmp_path, u0):
-    traj = integrate(Linear(), u0, step=0.25, cutoff=1)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,re_u-1,im_u-1,re_u0,im_u0,re_u1,im_u1"
-    assert len(lines) == 6  # header + 5 samples

@@ -5,7 +5,13 @@ import pytest
 
 from momentpde import relaxation
 from momentpde.analytic import analytic_tables
-from momentpde.indices import MomentIndex, TruncationDegrees
+from momentpde.indices import (
+    MomentIndex,
+    TruncationDegrees,
+    enumerate_moment_vector,
+    is_canonical,
+    is_self_conjugate,
+)
 from momentpde.models import DistributedQuadratic, Linear, MeasureTag, generate_constraints
 from momentpde.relaxation import (
     build_layout,
@@ -17,6 +23,9 @@ from momentpde.relaxation import (
     moment_matrix,
     terminal_matrix,
 )
+from momentpde.tables import MomentTable
+
+from test_solver import MODELS
 
 
 def test_layout_slot_structure(deg222):
@@ -40,10 +49,9 @@ def test_layout_slot_structure(deg222):
 def test_block_sizes_at_222(u0, deg222):
     problem = build_problem(Linear(), deg222, u0)
     by_name = {b.name: b for b in problem.blocks}
-    assert by_name["occupation_moment"].hermitian_dim == 12
     assert by_name["occupation_moment"].size == 24
-    assert by_name["occupation_localizing"].hermitian_dim == 6
-    assert by_name["terminal_moment"].hermitian_dim == 6
+    assert by_name["occupation_localizing"].size == 12
+    assert by_name["terminal_moment"].size == 12
 
 
 def test_degrees_below_minimum_rejected(u0):
@@ -76,17 +84,43 @@ def test_analytic_witness_is_feasible(u0, deg222):
         assert np.linalg.eigvalsh(mat).min() >= -1e-9
 
 
-def test_embedded_blocks_match_numeric_hermitian_blocks(u0, deg222):
-    problem = build_problem(Linear(), deg222, u0)
-    tables = analytic_tables(u0, deg222)
+def random_tables(deg, seed):
+    """Seeded tables: generic complex moments, real self-conjugate ones."""
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for measure in (MeasureTag.OCCUPATION, MeasureTag.TERMINAL):
+        table = MomentTable()
+        for idx in enumerate_moment_vector(deg):
+            if is_canonical(idx):
+                re, im = rng.normal(size=2)
+                table.set(idx, complex(re, 0.0 if is_self_conjugate(idx) else im))
+        tables[measure] = table
+    return tables
+
+
+@pytest.mark.parametrize("source", ["analytic", "random"])
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)
+@pytest.mark.parametrize("model", MODELS, ids=["linear", "distributed", "local"])
+def test_embedded_blocks_match_numeric_hermitian_blocks(u0, model, triple, source):
+    deg = TruncationDegrees(*triple)
+    problem = build_problem(model, deg, u0)
+    tables = analytic_tables(u0, deg) if source == "analytic" else random_tables(deg, 5)
     x = embed_tables(problem.layout, tables)
     numeric = {
-        "occupation_moment": moment_matrix(tables[MeasureTag.OCCUPATION], deg222),
-        "occupation_localizing": localizing_matrix(tables[MeasureTag.OCCUPATION], deg222),
-        "terminal_moment": terminal_matrix(tables[MeasureTag.TERMINAL], deg222),
+        "occupation_moment": moment_matrix(tables[MeasureTag.OCCUPATION], deg),
+        "occupation_localizing": localizing_matrix(tables[MeasureTag.OCCUPATION], deg),
+        "terminal_moment": terminal_matrix(tables[MeasureTag.TERMINAL], deg),
     }
     for block in problem.blocks:
         assert np.abs(block.matrix(x) - hermitian_embedding(numeric[block.name])).max() <= 1e-12
+    # Both sides read one spec, so check a localizer entry written out by
+    # hand: row 1, column u_1 is y[1; -1] - y[2; -1] (weight t - t^2).
+    occupation = tables[MeasureTag.OCCUPATION]
+    expected = occupation.get(MomentIndex(1, (-1,))) - occupation.get(MomentIndex(2, (-1,)))
+    col = deg.harmonic + 2  # basis: 1, u_-h, ..., u_h, ...
+    localizing = numeric["occupation_localizing"]
+    assert localizing[0, col] == pytest.approx(expected, abs=1e-14)
+    assert localizing[col, 0] == pytest.approx(expected.conjugate(), abs=1e-14)
 
 
 def test_objective_is_sum_of_hermitian_traces(u0, deg222):

@@ -1,6 +1,11 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from momentpde.indices import TruncationDegrees
 from momentpde.models import Linear
 from momentpde.relaxation import build_problem
 from momentpde.sdpa import (
@@ -10,11 +15,12 @@ from momentpde.sdpa import (
     read_sdpa,
     read_solution,
     to_sdpa_data,
+    write_sdpa_data,
     write_solution,
 )
 from momentpde.solver import SolverSettings, solve
 
-from test_solver import min_trace_completion_problem, rank_one_forcing_problem
+from test_solver import MODELS, min_trace_completion_problem, rank_one_forcing_problem
 
 
 def test_trivial_problem_roundtrip(tmp_path):
@@ -157,3 +163,18 @@ def test_read_solution_skips_blank_lines(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("1.5\n\n-2.25\n")
     assert np.array_equal(read_solution(path), [1.5, -2.25])
+
+
+def test_export_matches_recorded_digests(tmp_path, u0):
+    # SHA-256 of each exported file, pinned in tests/data: any change to the
+    # assembly or the file format shows here.  Update the file only for an
+    # intended change of the exported problem.
+    recorded = json.loads((Path(__file__).parent / "data" / "sdpa_digests.json").read_text())
+    digests = {}
+    for model in MODELS:
+        for triple in ((2, 2, 2), (4, 2, 2), (4, 4, 2)):
+            path = tmp_path / "problem.dat-s"
+            problem = build_problem(model, TruncationDegrees(*triple), u0)
+            write_sdpa_data(to_sdpa_data(problem), path)
+            digests[f"{model!r} {triple}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == recorded
