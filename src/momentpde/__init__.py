@@ -30,7 +30,6 @@ from .indices import (
     canonicalize,
     count_matrix_basis,
     count_moment_vector,
-    entry_index,
     enumerate_matrix_basis,
     enumerate_moment_vector,
 )

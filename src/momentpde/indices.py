@@ -6,13 +6,22 @@ Moments are invariant under permutation of the modes and go to their complex
 conjugate under global sign flip of the modes, so each moment has a canonical
 representative.  Truncations are controlled by three degrees: time (max ell),
 algebraic (max k) and harmonic (max |n_j|).
+
+For bulk work the same indices have an array form: a time degree plus a
+count row of the multiset over the modes, with vectorized canonicalization
+and exact integer keys (``mode_counts``, ``canonical_counts``,
+``moment_keys``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 Frequency = int  # signed Fourier mode number
 
@@ -35,14 +44,6 @@ class MomentIndex:
         if any(freqs[i] > freqs[i + 1] for i in range(len(freqs) - 1)):
             freqs = tuple(sorted(freqs))
         object.__setattr__(self, "freqs", freqs)
-
-    @property
-    def algebraic_degree(self) -> int:
-        return len(self.freqs)
-
-    @property
-    def harmonic_degree(self) -> int:
-        return max((abs(n) for n in self.freqs), default=0)
 
     def negated(self) -> "MomentIndex":
         """Index of the complex-conjugate moment (all mode signs flipped)."""
@@ -187,14 +188,88 @@ def count_matrix_basis(deg: TruncationDegrees) -> int:
     return (deg.time // 2 + 1) * per_t
 
 
-def entry_index(row: BasisMonomial, col: BasisMonomial) -> MomentIndex:
-    """Moment index of a matrix entry: row monomial times conjugated column."""
-    return MomentIndex(
-        row.time_half_degree + col.time_half_degree,
-        row.freqs + tuple(-n for n in col.freqs),
-    )
-
-
 def canonical_indices(deg: TruncationDegrees) -> list[MomentIndex]:
     """Canonical representatives of the truncated moment vector, in order."""
     return [idx for idx in enumerate_moment_vector(deg) if is_canonical(idx)]
+
+
+# -- Array encoding ---------------------------------------------------------
+# A mode multiset over -h..h is a count row of 2h+1 small integers, one per
+# mode in increasing order.  Negating the modes reverses the row.
+
+
+def mode_counts(freqs: Sequence[tuple[Frequency, ...]], harmonic: int) -> np.ndarray:
+    """Count rows (int8) of mode multisets over the modes -harmonic..harmonic."""
+    width = 2 * harmonic + 1
+    lengths = np.fromiter(map(len, freqs), dtype=np.intp, count=len(freqs))
+    if len(lengths) and lengths.max() > 127:
+        raise ValueError("mode multisets of more than 127 modes do not fit int8 counts")
+    modes = np.fromiter(
+        itertools.chain.from_iterable(freqs), dtype=np.intp, count=int(lengths.sum())
+    )
+    if len(modes) and np.abs(modes).max() > harmonic:
+        raise ValueError(f"mode outside -{harmonic}..{harmonic}")
+    flat = np.repeat(np.arange(len(freqs)) * width, lengths) + modes + harmonic
+    counts = np.bincount(flat, minlength=len(freqs) * width)
+    return counts.reshape(len(freqs), width).astype(np.int8)
+
+
+def count_freqs(counts: np.ndarray, harmonic: int) -> list[tuple[Frequency, ...]]:
+    """Sorted mode tuples of count rows (inverse of ``mode_counts``)."""
+    modes = np.tile(np.arange(-harmonic, harmonic + 1), len(counts))
+    flat = iter(np.repeat(modes, counts.ravel()).tolist())
+    return [tuple(itertools.islice(flat, k)) for k in counts.sum(axis=1).tolist()]
+
+
+def canonical_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``canonicalize``: canonical count rows and conjugation flags.
+
+    Of two sorted multisets of one size, the one with more copies of the
+    first mode where their count rows differ is lexicographically smaller.
+    So a row is conjugated (its negation is the representative) exactly when
+    its reverse is larger at the first mode where the two differ.
+    """
+    rev = counts[:, ::-1]
+    rows = np.arange(len(counts))
+    first = (counts != rev).argmax(axis=1)  # 0 for self-conjugate rows
+    conjugated = rev[rows, first] > counts[rows, first]
+    return np.where(conjugated[:, None], rev, counts), conjugated
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_tables(num_modes: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables of the combinatorial number system for ``moment_keys``.
+
+    A multiset of size k with sorted modes a_1 <= ... <= a_k (numbered from
+    0) has the rank sum_i C(a_i + i - 1, i), distinct among multisets of size
+    k and below C(num_modes + k - 1, k).  ``part[j, p, c]`` is the share of
+    mode j when it fills positions p + 1 .. p + c; ``offset[k]`` counts the
+    multisets of size below k, so offset + rank is distinct over all sizes.
+    """
+    part = np.zeros((num_modes, max_size + 1, max_size + 1), dtype=np.int64)
+    for j in range(num_modes):
+        for p in range(max_size + 1):
+            for c in range(1, max_size + 1 - p):
+                part[j, p, c] = sum(math.comb(j + i - 1, i) for i in range(p + 1, p + c + 1))
+    sizes = [math.comb(num_modes + k - 1, k) for k in range(max_size + 1)]
+    return part, np.cumsum([0] + sizes, dtype=np.int64)
+
+
+def moment_keys(ell: np.ndarray, counts: np.ndarray, deg: TruncationDegrees) -> np.ndarray:
+    """Exact int64 key of each (time degree, count row), distinct for distinct moments.
+
+    The key is ell times the number of multisets per time degree plus the
+    multiset's rank, so it never exceeds the size of a truncation that
+    allows ell (no fixed-radix code, which overflows for many modes).
+    """
+    if count_moment_vector(deg) >= 2**63 or deg.algebraic > 127:
+        raise ValueError(f"truncation {deg.as_tuple()} too large for int64 moment keys")
+    if len(counts) and counts.sum(axis=1).max() > deg.algebraic:
+        raise ValueError(f"mode multiset longer than the algebraic degree {deg.algebraic}")
+    part, offset = _rank_tables(counts.shape[1], deg.algebraic)
+    rank = np.zeros(len(counts), dtype=np.int64)
+    filled = np.zeros(len(counts), dtype=np.intp)
+    for j in range(counts.shape[1]):
+        rank += part[j, filled, counts[:, j]]
+        filled += counts[:, j]
+    return np.asarray(ell, dtype=np.int64) * offset[-1] + offset[filled] + rank

@@ -21,12 +21,24 @@ as its conjugate.  Each Hermitian block H = A + iB is embedded as the real
 symmetric block [[A, -B], [B, A]] of doubled size, which has the same
 eigenvalues with doubled multiplicity.  The objective is the sum of the
 Hermitian traces of the two moment blocks.
+
+Assembly works on integer arrays, not on one ``MomentIndex`` per entry.  A
+mode multiset is a count row over the modes -h..h, and negating its modes
+reverses the row, so entry (r, c) has time degree th_r + th_c + shift and
+count row C_r + reversed(C_c).  The moment is conjugated (its value is the
+conjugate of the stored representative's) exactly when the reversed row is
+larger at the first mode where the row and its reverse differ; this is the
+order of ``canonicalize``.  The canonical (ell, count row) maps to an exact
+int64 key, the time degree times the number of multisets plus the
+multiset's combinatorial-number-system rank, and ``VariableLayout.lookup``
+finds its slots by ``np.searchsorted`` in the layout's sorted keys.  The
+equality rows use the same lookup and are summed from COO triplets in term
+order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,16 +48,17 @@ from .indices import (
     MomentIndex,
     TruncationDegrees,
     basis_monomials,
-    canonicalize,
+    canonical_counts,
+    count_freqs,
     enumerate_matrix_basis,
     enumerate_moment_vector,
-    entry_index,
-    is_canonical,
-    is_self_conjugate,
+    mode_counts,
+    moment_keys,
 )
 from .models import (
     HeatModel,
     InitialData,
+    LinearConstraint,
     MeasureTag,
     generate_constraints,
     initial_moment,
@@ -61,49 +74,64 @@ class Slot:
 
 @dataclass
 class VariableLayout:
-    """Slot assignment for the decision pseudo-moments of one truncation."""
+    """Slot assignment for the decision pseudo-moments of one truncation.
+
+    ``keys`` holds, per measure, the sorted ``moment_keys`` of its canonical
+    moments with the real and imaginary slot of each (imaginary -1 when the
+    moment is forced real); ``lookup`` resolves moments through it.
+    """
 
     degrees: TruncationDegrees
     slots: dict[tuple[MeasureTag, MomentIndex], Slot]
     num_vars: int
+    keys: dict[MeasureTag, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
-    def resolve(self, measure: MeasureTag, idx: MomentIndex) -> tuple[Slot, int]:
-        """Slot of an arbitrary index plus the conjugation sign of its imag part."""
-        if measure is MeasureTag.TERMINAL and idx.time_degree != 0:
-            idx = MomentIndex(0, idx.freqs)
-        canon = canonicalize(idx)
-        slot = self.slots[(measure, canon.index)]
-        return slot, (-1 if canon.conjugated else 1)
-
-    def entry(self, measure: MeasureTag, idx: MomentIndex) -> dict[int, complex]:
-        """A moment as a complex-linear expression over real slots."""
-        slot, sign = self.resolve(measure, idx)
-        if slot.imag is None:
-            return {slot.real: 1 + 0j}
-        return {slot.real: 1 + 0j, slot.imag: 1j * sign}
+    def lookup(
+        self, measure: MeasureTag, ell: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real slots, imaginary slots (-1 if forced real) and the sign of the
+        imaginary part, -1 where the moment is the conjugate of its slot's."""
+        canon, conjugated = canonical_counts(counts)
+        if measure is MeasureTag.TERMINAL:
+            ell = np.zeros_like(ell)  # terminal moments alias the ell = 0 slot
+        query = moment_keys(ell, canon, self.degrees)
+        keys, real, imag = self.keys[measure]
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        missing = np.flatnonzero(keys[pos] != query)
+        if len(missing):
+            i = missing[0]
+            (freqs,) = count_freqs(counts[i : i + 1], self.degrees.harmonic)
+            raise ValueError(
+                f"{measure.value} moment {MomentIndex(int(ell[i]), freqs)} has no slot"
+            )
+        return real[pos], imag[pos], np.where(conjugated, -1, 1)
 
 
 def build_layout(deg: TruncationDegrees) -> VariableLayout:
     """Deterministic slot numbering: occupation moments first, then terminal."""
+    indices = enumerate_moment_vector(deg)
+    ell = np.array([idx.time_degree for idx in indices], dtype=np.int64)
+    counts = mode_counts([idx.freqs for idx in indices], deg.harmonic)
+    _, conjugated = canonical_counts(counts)
+    forced_real = (counts == counts[:, ::-1]).all(axis=1)
+    occupation = np.flatnonzero(~conjugated)
     slots: dict[tuple[MeasureTag, MomentIndex], Slot] = {}
+    keys = {}
     counter = 0
-
-    def assign(measure: MeasureTag, idx: MomentIndex) -> None:
-        nonlocal counter
-        if is_self_conjugate(idx):
-            slots[(measure, idx)] = Slot(counter, None)
-            counter += 1
-        else:
-            slots[(measure, idx)] = Slot(counter, counter + 1)
-            counter += 2
-
-    for idx in enumerate_moment_vector(deg):
-        if is_canonical(idx):
-            assign(MeasureTag.OCCUPATION, idx)
-    for idx in enumerate_moment_vector(deg):
-        if idx.time_degree == 0 and is_canonical(idx):
-            assign(MeasureTag.TERMINAL, idx)
-    return VariableLayout(degrees=deg, slots=slots, num_vars=counter)
+    for measure, rows in (
+        (MeasureTag.OCCUPATION, occupation),
+        (MeasureTag.TERMINAL, occupation[ell[occupation] == 0]),
+    ):
+        width = np.where(forced_real[rows], 1, 2)
+        real = counter + np.cumsum(width) - width
+        imag = np.where(forced_real[rows], -1, real + 1)
+        counter += int(width.sum())
+        for i, re, im in zip(rows.tolist(), real.tolist(), imag.tolist()):
+            slots[(measure, indices[i])] = Slot(re, None if im < 0 else im)
+        key = moment_keys(ell[rows], counts[rows], deg)
+        order = np.argsort(key)
+        keys[measure] = (key[order], real[order], imag[order])
+    return VariableLayout(degrees=deg, slots=slots, num_vars=counter, keys=keys)
 
 
 @dataclass
@@ -179,33 +207,45 @@ class BlockSpec:
     measure: MeasureTag
     basis: list[BasisMonomial]
     terms: tuple[tuple[int, int], ...]  # (time shift, sign) per moment
+    harmonic: int  # modes -harmonic..harmonic of the count rows
 
-    def upper_terms(self) -> Iterator[tuple[int, int, int, MomentIndex]]:
-        """(row, col, sign, moment index) of every term on or above the diagonal."""
-        basis = self.basis
-        for r, row in enumerate(basis):
-            for c in range(r, len(basis)):
-                base = entry_index(row, basis[c])
-                for shift, sign in self.terms:
-                    yield r, c, sign, MomentIndex(base.time_degree + shift, base.freqs)
+    def upper_terms(self) -> tuple[np.ndarray, ...]:
+        """Arrays (row, col, sign, time degree, count row) of every term on or
+        above the diagonal, ordered by row, then column, then term."""
+        th = np.array([b.time_half_degree for b in self.basis], dtype=np.int64)
+        counts = mode_counts([b.freqs for b in self.basis], self.harmonic)
+        r, c = np.triu_indices(len(self.basis))
+        shift, sign = np.array(self.terms, dtype=np.int64).T
+        n = len(self.terms)
+        return (
+            np.repeat(r, n),
+            np.repeat(c, n),
+            np.tile(sign, len(r)),
+            np.repeat(th[r] + th[c], n) + np.tile(shift, len(r)),
+            np.repeat(counts[r] + counts[c, ::-1], n, axis=0),
+        )
 
 
 def block_specs(deg: TruncationDegrees) -> tuple[BlockSpec, BlockSpec, BlockSpec]:
     """Occupation moment, occupation localizing and terminal moment blocks."""
-    half_alg = deg.algebraic // 2
+    half_alg, h = deg.algebraic // 2, deg.harmonic
     return (
-        BlockSpec("occupation_moment", MeasureTag.OCCUPATION, enumerate_matrix_basis(deg), MOMENT),
+        BlockSpec(
+            "occupation_moment", MeasureTag.OCCUPATION, enumerate_matrix_basis(deg), MOMENT, h
+        ),
         BlockSpec(
             "occupation_localizing",
             MeasureTag.OCCUPATION,
-            basis_monomials(deg.time // 2 - 1, half_alg, deg.harmonic),
+            basis_monomials(deg.time // 2 - 1, half_alg, h),
             LOCALIZER,
+            h,
         ),
         BlockSpec(
             "terminal_moment",
             MeasureTag.TERMINAL,
-            basis_monomials(0, half_alg, deg.harmonic),
+            basis_monomials(0, half_alg, h),
             MOMENT,
+            h,
         ),
     )
 
@@ -214,29 +254,108 @@ def _embedded_block(spec: BlockSpec, layout: VariableLayout) -> Block:
     """The spec's block as an affine map into its real embedding."""
     m = len(spec.basis)
     size = 2 * m
-    # One complex coefficient gamma per (row, col, slot) of the upper triangle.
-    keys: list[tuple[int, int, int]] = []
-    gamma: list[complex] = []
-    for r, c, sign, idx in spec.upper_terms():
-        for var, coeff in layout.entry(spec.measure, idx).items():
-            keys.append((r, c, var))
-            gamma.append(sign * coeff)
-    r, c, var = np.array(keys, dtype=np.int64).T
-    gamma = np.array(gamma, dtype=complex)
+    # Per upper-triangle term, H = A + iB gains sign in A through the real
+    # slot and sign * conj in B through the imaginary slot, if there is one.
+    r, c, sign, ell, counts = spec.upper_terms()
+    real, imag, conj = layout.lookup(spec.measure, ell, counts)
+    present = np.column_stack([np.ones(len(imag), dtype=bool), imag >= 0]).ravel()
+    r, c = np.repeat(r, 2)[present], np.repeat(c, 2)[present]
+    var = np.column_stack([real, imag]).ravel()[present]
+    a = np.column_stack([sign, np.zeros_like(sign)]).ravel()[present].astype(float)
+    b = np.column_stack([np.zeros_like(sign), sign * conj]).ravel()[present].astype(float)
     low = r < c  # mirrored below the diagonal as the conjugate
     r, c = np.concatenate([r, c[low]]), np.concatenate([c, r[low]])
     var = np.concatenate([var, var[low]])
-    gamma = np.concatenate([gamma, gamma[low].conj()])
-    # [[A, -B], [B, A]] with H = A + iB
+    a, b = np.concatenate([a, a[low]]), np.concatenate([b, -b[low]])
+    # [[A, -B], [B, A]]
     rows = np.concatenate([r, m + r, r, m + r])
     cols = np.concatenate([c, m + c, m + c, c])
-    vals = np.concatenate([gamma.real, gamma.real, -gamma.imag, gamma.imag])
+    vals = np.concatenate([a, a, -b, b])
     keep = vals != 0.0
     coeffs = sp.coo_matrix(
         (vals[keep], (rows[keep] * size + cols[keep], np.tile(var, 4)[keep])),
         shape=(size * size, layout.num_vars),
     ).tocsr()
     return Block(name=spec.name, size=size, coeffs=coeffs, const=np.zeros(size * size))
+
+
+def _equalities(
+    constraints: list[LinearConstraint], layout: VariableLayout, u0: InitialData
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Equality matrix, right-hand side and pivot slot of each row.
+
+    Each constraint gives a real and an imaginary row, dropped when empty;
+    initial moments are substituted as constants.  A row's pivot is the slot
+    its recursion step solves for: the terminal moment of the test index at
+    ell = 0, else the occupation moment (ell - 1, freqs).
+    """
+    n = layout.num_vars
+    row, coeffs, terminal, ell, freqs = [], [], [], [], []
+    consts, pivot_term = [], []
+    for i, constraint in enumerate(constraints):
+        test_ell = constraint.test_index.time_degree
+        const = -constraint.rhs
+        pivot = -1
+        for coeff, measure, idx in constraint.terms:
+            if measure is MeasureTag.INITIAL:
+                const += coeff * initial_moment(u0, idx)
+                continue
+            is_terminal = measure is MeasureTag.TERMINAL
+            if idx.time_degree == test_ell - 1 or (test_ell == 0 and is_terminal):
+                pivot = len(coeffs)
+            row.append(i)
+            coeffs.append(coeff)
+            terminal.append(is_terminal)
+            ell.append(idx.time_degree)
+            freqs.append(idx.freqs)
+        consts.append(const)
+        pivot_term.append(pivot)
+
+    terminal = np.array(terminal, dtype=bool)
+    ell = np.array(ell, dtype=np.int64)
+    counts = mode_counts(freqs, layout.degrees.harmonic)
+    real, imag, conj = (np.empty(len(ell), dtype=np.int64) for _ in range(3))
+    for measure, mask in ((MeasureTag.OCCUPATION, ~terminal), (MeasureTag.TERMINAL, terminal)):
+        real[mask], imag[mask], conj[mask] = layout.lookup(measure, ell[mask], counts[mask])
+
+    # coeff * y with y = x[real] + i conj x[imag], split into the real part
+    # (row 2i) and the imaginary part (row 2i + 1) of constraint i.  Sums run
+    # in term order, as a left fold from 0.0.
+    coeffs = np.array(coeffs, dtype=complex)
+    part = np.array([0, 1, 0, 1])
+    var = np.column_stack([real, real, imag, imag])
+    val = np.column_stack([coeffs.real, coeffs.imag, -conj * coeffs.imag, conj * coeffs.real])
+    group = (2 * np.array(row, dtype=np.int64).reshape(-1, 1) + part) * n + var
+    live = (val != 0.0) & (var >= 0)
+    group, inverse = np.unique(group[live], return_inverse=True)
+    total = np.bincount(inverse, weights=val[live])
+    group, total = group[total != 0.0], total[total != 0.0]
+    eq_row, eq_var = np.divmod(group, n)
+
+    nonempty = np.zeros(2 * len(constraints), dtype=bool)
+    nonempty[eq_row] = True
+    consts = np.array(consts, dtype=complex)
+    rhs = np.column_stack([-consts.real, -consts.imag]).ravel()
+    # pivot term -1 (none) picks the last row, (-1, -1): no pivot slot
+    slots = np.vstack([np.column_stack([real, imag]), [-1, -1]])
+    pivots = slots[np.array(pivot_term, dtype=np.int64)].ravel()
+
+    no_pivot = nonempty & (pivots < 0)
+    inconsistent = ~nonempty & (np.abs(rhs) > 1e-9)
+    bad = np.flatnonzero(no_pivot | inconsistent)
+    if len(bad):
+        j = bad[0]
+        test = constraints[j // 2].test_index
+        if no_pivot[j]:
+            raise ValueError(f"no pivot slot for a row of the constraint of test index {test}")
+        raise ValueError(
+            f"inconsistent constant constraint from test index {test}: 0 = {rhs[j]}"
+        )
+    renumber = np.cumsum(nonempty) - 1
+    eq = sp.csr_matrix(
+        (total, (renumber[eq_row], eq_var)), shape=(int(nonempty.sum()), n)
+    )
+    return eq, rhs[nonempty], pivots[nonempty]
 
 
 MIN_TIME_DEGREE = 2
@@ -254,57 +373,8 @@ def build_problem(
         )
     layout = build_layout(deg)
     n = layout.num_vars
-
-    # Equalities: real/imag split of the canonical moment constraints, with
-    # initial moments substituted as constants.  A row's pivot is the slot its
-    # recursion step solves for: the terminal moment of the test index at
-    # ell = 0, else the occupation moment (ell - 1, freqs).
     constraints = generate_constraints(model, deg, canonical_only=True)
-    eq_rows: list[dict[int, float]] = []
-    eq_rhs: list[float] = []
-    eq_pivots: list[int] = []
-    for constraint in constraints:
-        ell = constraint.test_index.time_degree
-        row_re: dict[int, float] = {}
-        row_im: dict[int, float] = {}
-        pivot = None
-        const = -constraint.rhs
-        for coeff, measure, idx in constraint.terms:
-            if measure is MeasureTag.INITIAL:
-                const += coeff * initial_moment(u0, idx)
-                continue
-            entry = layout.entry(measure, idx)
-            if idx.time_degree == ell - 1 or (ell == 0 and measure is MeasureTag.TERMINAL):
-                pivot = entry
-            for var, gamma in entry.items():
-                g = coeff * gamma
-                if g.real != 0.0:
-                    row_re[var] = row_re.get(var, 0.0) + g.real
-                if g.imag != 0.0:
-                    row_im[var] = row_im.get(var, 0.0) + g.imag
-        pivot_slots = iter(pivot or ())  # real slot, then imag slot if any
-        for row, rhs_part in ((row_re, -const.real), (row_im, -const.imag)):
-            pivot_var = next(pivot_slots, None)
-            row = {v: c for v, c in row.items() if c != 0.0}
-            if row:
-                if pivot_var is None:
-                    raise ValueError(
-                        f"no pivot slot for a row of the constraint of test "
-                        f"index {constraint.test_index}"
-                    )
-                eq_rows.append(row)
-                eq_rhs.append(rhs_part)
-                eq_pivots.append(pivot_var)
-            elif abs(rhs_part) > 1e-9:
-                raise ValueError(
-                    f"inconsistent constant constraint from test index "
-                    f"{constraint.test_index}: 0 = {rhs_part}"
-                )
-
-    eq = sp.lil_matrix((len(eq_rows), n))
-    for i, row in enumerate(eq_rows):
-        for var, c in row.items():
-            eq[i, var] = c
+    eq, eq_rhs, eq_pivots = _equalities(constraints, layout, u0)
 
     specs = block_specs(deg)
     blocks = [_embedded_block(spec, layout) for spec in specs]
@@ -317,17 +387,22 @@ def build_problem(
             diagonal = np.arange(block.size) * (block.size + 1)
             objective += 0.5 * np.asarray(block.coeffs[diagonal].sum(axis=0)).ravel()
 
-    initial_table = MomentTable.from_function(
-        lambda idx: initial_moment(u0, idx), enumerate_moment_vector(deg)
+    # Initial moments are data: one entry per canonical moment, in slot order.
+    initial_table = MomentTable(
+        {
+            idx: initial_moment(u0, idx)
+            for measure, idx in layout.slots
+            if measure is MeasureTag.OCCUPATION
+        }
     )
     model_name = type(model).__name__
     return ConicProblem(
         num_vars=n,
         blocks=blocks,
-        eq_matrix=eq.tocsr(),
-        eq_rhs=np.array(eq_rhs),
+        eq_matrix=eq,
+        eq_rhs=eq_rhs,
         objective=objective,
-        eq_pivots=np.array(eq_pivots, dtype=np.int64),
+        eq_pivots=eq_pivots,
         layout=layout,
         initial_table=initial_table,
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",
@@ -365,10 +440,11 @@ def extract_pseudomoments(
         imag = 0.0 if slot.imag is None else x[slot.imag]
         out[measure].set(idx, complex(x[slot.real], imag))
     # Terminal moments alias across time degrees; fill the aliases for lookups
-    # that go through plain tables.
-    for idx in enumerate_moment_vector(layout.degrees):
-        if idx.time_degree > 0 and is_canonical(idx):
-            terminal.set(idx, terminal.get(MomentIndex(0, idx.freqs)))
+    # that go through plain tables, in the order of the moment vector.
+    terminal_slots = list(terminal.items())
+    for ell in range(1, layout.degrees.time + 1):
+        for idx, value in terminal_slots:
+            terminal.set(MomentIndex(ell, idx.freqs), value)
     if problem.initial_table is not None:
         out[MeasureTag.INITIAL] = problem.initial_table
     return out
@@ -378,8 +454,10 @@ def hermitian_matrix(spec: BlockSpec, table: MomentTable) -> np.ndarray:
     """Numeric Hermitian matrix of a block spec over one moment table."""
     m = len(spec.basis)
     h = np.zeros((m, m), dtype=complex)
-    for r, c, sign, idx in spec.upper_terms():
-        h[r, c] += sign * table.get(idx)
+    r, c, sign, ell, counts = spec.upper_terms()
+    freqs = count_freqs(counts, spec.harmonic)
+    for r, c, sign, ell, f in zip(r.tolist(), c.tolist(), sign.tolist(), ell.tolist(), freqs):
+        h[r, c] += sign * table.get(MomentIndex(ell, f))
     lower = np.tril_indices(m)
     h[lower] = h.T[lower].conj()
     return h

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +8,21 @@ from momentpde.indices import (
     MomentIndex,
     TruncationDegrees,
     basis_monomials,
+    canonical_counts,
     canonical_indices,
     canonicalize,
+    count_freqs,
     count_matrix_basis,
     count_moment_vector,
-    entry_index,
     enumerate_matrix_basis,
     enumerate_moment_vector,
     is_canonical,
     is_self_conjugate,
+    mode_counts,
+    moment_keys,
 )
+from momentpde.models import MeasureTag
+from momentpde.relaxation import MOMENT, BlockSpec, block_specs
 
 # (degrees) -> (moment vector size, matrix size)
 SIZE_TABLE = {
@@ -115,23 +121,35 @@ def test_canonicalize_involution_under_negation(idx):
 
 
 def test_entry_index_examples():
-    assert entry_index(BasisMonomial(1, (1,)), BasisMonomial(0, (2,))) == MomentIndex(
-        1, (1, -2)
-    )
-    assert entry_index(BasisMonomial(0, ()), BasisMonomial(0, ())) == MomentIndex(0, ())
-    assert entry_index(BasisMonomial(0, (1,)), BasisMonomial(0, (1,))) == MomentIndex(
-        0, (1, -1)
-    )
+    # entry (r, c) is the row monomial times the conjugated column monomial
+    basis = [BasisMonomial(0, ()), BasisMonomial(1, (1,)), BasisMonomial(0, (2,)),
+             BasisMonomial(0, (1,))]
+    spec = BlockSpec("example", MeasureTag.OCCUPATION, basis, MOMENT, 2)
+    r, c, _, ell, counts = spec.upper_terms()
+    entries = {
+        (int(i), int(j)): MomentIndex(int(t), f)
+        for i, j, t, f in zip(r, c, ell, count_freqs(counts, 2))
+    }
+    assert entries[(1, 2)] == MomentIndex(1, (1, -2))
+    assert entries[(0, 0)] == MomentIndex(0, ())
+    assert entries[(3, 3)] == MomentIndex(0, (1, -1))
+    assert entries[(0, 2)] == MomentIndex(0, (-2,))
+    assert len(entries) == 10
 
 
 @pytest.mark.parametrize("triple", [(2, 2, 2), (4, 4, 2), (4, 2, 4)])
 def test_matrix_entries_stay_inside_truncation(triple):
+    # the lower triangle holds the conjugates, and the universe is closed
+    # under conjugation
     deg = TruncationDegrees(*triple)
     universe = set(enumerate_moment_vector(deg))
-    basis = enumerate_matrix_basis(deg)
-    for row in basis:
-        for col in basis:
-            assert entry_index(row, col) in universe
+    for spec in block_specs(deg):
+        _, _, _, ell, counts = spec.upper_terms()
+        m = len(spec.basis)
+        assert len(ell) == len(spec.terms) * m * (m + 1) // 2
+        freqs = count_freqs(counts, deg.harmonic)
+        moments = {MomentIndex(int(t), f) for t, f in zip(ell, freqs)}
+        assert moments <= universe
 
 
 def test_enumeration_is_deterministic_and_ordered():
@@ -161,3 +179,35 @@ def test_basis_monomials_caps():
     term = basis_monomials(0, 1, 2)
     assert len(term) == 6
     assert all(m.time_half_degree == 0 for m in term)
+
+
+@settings(max_examples=500)
+@given(index_strategy)
+def test_canonical_counts_agree_with_canonicalize(idx):
+    canon = canonicalize(idx)
+    rows, conjugated = canonical_counts(mode_counts([idx.freqs], 6))
+    assert bool(conjugated[0]) == canon.conjugated
+    assert count_freqs(rows, 6) == [canon.index.freqs]
+    assert mode_counts([idx.freqs], 6)[0, ::-1].tolist() == mode_counts([idx.negated().freqs], 6)[0].tolist()
+
+
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 4, 2), (6, 4, 6), (2, 2, 20), (2, 6, 3)])
+def test_moment_keys_are_exact_and_dense(triple):
+    # one distinct key per moment of the truncation, all below its size; a
+    # radix code over the 41 modes of (2, 2, 20) would overflow int64
+    deg = TruncationDegrees(*triple)
+    moments = enumerate_moment_vector(deg)
+    ell = np.array([idx.time_degree for idx in moments])
+    keys = moment_keys(ell, mode_counts([idx.freqs for idx in moments], deg.harmonic), deg)
+    assert len(set(keys.tolist())) == len(moments)
+    assert keys.min() == 0 and keys.max() == count_moment_vector(deg) - 1
+
+
+def test_moment_keys_reject_what_they_cannot_encode():
+    deg = TruncationDegrees(2, 2, 2)
+    with pytest.raises(ValueError, match="longer than"):
+        moment_keys(np.array([0]), mode_counts([(1, 1, 1)], 2), deg)
+    with pytest.raises(ValueError, match="too large"):
+        moment_keys(np.array([0]), mode_counts([()], 40), TruncationDegrees(2, 40, 40))
+    with pytest.raises(ValueError, match="outside"):
+        mode_counts([(3,)], 2)

@@ -8,12 +8,15 @@ from momentpde.analytic import analytic_tables
 from momentpde.indices import (
     MomentIndex,
     TruncationDegrees,
+    canonicalize,
     enumerate_moment_vector,
     is_canonical,
     is_self_conjugate,
+    mode_counts,
 )
 from momentpde.models import DistributedQuadratic, Linear, MeasureTag, generate_constraints
 from momentpde.relaxation import (
+    Slot,
     build_layout,
     build_problem,
     embed_tables,
@@ -23,27 +26,55 @@ from momentpde.relaxation import (
     moment_matrix,
     terminal_matrix,
 )
-from momentpde.tables import MomentTable
+from momentpde.tables import MomentTable, write_table_csv
 
 from test_solver import MODELS
 
 
 def test_layout_slot_structure(deg222):
     layout = build_layout(deg222)
+
+    def lookup(measure, ell, freqs):
+        counts = mode_counts([freqs], deg222.harmonic)
+        return tuple(int(a[0]) for a in layout.lookup(measure, np.array([ell]), counts))
+
+    occupation, terminal = MeasureTag.OCCUPATION, MeasureTag.TERMINAL
     # self-conjugate multiset: one real slot
-    slot, sign = layout.resolve(MeasureTag.OCCUPATION, MomentIndex(0, (1, -1)))
-    assert slot.imag is None and sign == 1
-    # generic multiset: a (re, im) pair, conjugate flips the sign
-    slot_pos, sign_pos = layout.resolve(MeasureTag.OCCUPATION, MomentIndex(0, (1,)))
-    slot_neg, sign_neg = layout.resolve(MeasureTag.OCCUPATION, MomentIndex(0, (-1,)))
-    assert slot_pos == slot_neg and slot_pos.imag is not None
-    assert sign_pos == -sign_neg
+    real, imag, sign = lookup(occupation, 0, (1, -1))
+    assert imag == -1 and sign == 1
+    assert layout.slots[(occupation, MomentIndex(0, (-1, 1)))] == Slot(real, None)
+    # generic multiset: a (re, im) pair, conjugate flips the sign; the slot
+    # belongs to the representative (-1,)
+    pos, neg = lookup(occupation, 0, (1,)), lookup(occupation, 0, (-1,))
+    assert pos[:2] == neg[:2] and pos[1] >= 0
+    assert (pos[2], neg[2]) == (-1, 1)
+    assert layout.slots[(occupation, MomentIndex(0, (-1,)))] == Slot(*neg[:2])
     # terminal moments alias the time-degree-zero slot
-    s0, _ = layout.resolve(MeasureTag.TERMINAL, MomentIndex(0, (1,)))
-    s2, _ = layout.resolve(MeasureTag.TERMINAL, MomentIndex(2, (1,)))
-    assert s0 == s2
+    assert lookup(terminal, 0, (1,)) == lookup(terminal, 2, (1,))
+    # a moment outside the truncation has no slot
+    with pytest.raises(ValueError, match="no slot"):
+        lookup(occupation, 3, (1,))
     # occupation slots first, then terminal; numbering is dense
     assert layout.num_vars == 84
+
+
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 4, 2), (2, 2, 20)], ids=lambda t: "%d-%d-%d" % t)
+def test_lookup_agrees_with_canonicalize(triple):
+    deg = TruncationDegrees(*triple)
+    layout = build_layout(deg)
+    moments = enumerate_moment_vector(deg)
+    ell = np.array([idx.time_degree for idx in moments])
+    counts = mode_counts([idx.freqs for idx in moments], deg.harmonic)
+    for measure in (MeasureTag.OCCUPATION, MeasureTag.TERMINAL):
+        real, imag, sign = layout.lookup(measure, ell, counts)
+        for idx, re, im, s in zip(moments, real, imag, sign):
+            canon = canonicalize(idx)
+            key = canon.index
+            if measure is MeasureTag.TERMINAL:
+                key = MomentIndex(0, key.freqs)
+            slot = layout.slots[(measure, key)]
+            assert (re, None if im < 0 else im) == (slot.real, slot.imag)
+            assert s == (-1 if canon.conjugated else 1)
 
 
 def test_block_sizes_at_222(u0, deg222):
@@ -150,6 +181,25 @@ def test_extraction_round_trip(u0, deg222):
     assert out[MeasureTag.OCCUPATION].get(MomentIndex(1, (-1, 1))).imag == 0
 
 
+def test_extraction_fills_terminal_aliases_in_moment_vector_order(u0, tmp_path):
+    # The rule the aliases follow: every canonical index of the moment vector
+    # with ell > 0, in order, takes its ell = 0 value.  Table order sets the
+    # CSV bytes.
+    deg = TruncationDegrees(4, 4, 2)
+    problem = build_problem(Linear(), deg, u0)
+    x = np.random.default_rng(2).normal(size=problem.num_vars)
+    expected = MomentTable()
+    for (measure, idx), slot in problem.layout.slots.items():
+        if measure is MeasureTag.TERMINAL:
+            expected.set(idx, complex(x[slot.real], 0.0 if slot.imag is None else x[slot.imag]))
+    for idx in enumerate_moment_vector(deg):
+        if idx.time_degree > 0 and is_canonical(idx):
+            expected.set(idx, expected.get(MomentIndex(0, idx.freqs)))
+    write_table_csv(expected, tmp_path / "expected.csv")
+    write_table_csv(extract_pseudomoments(problem, x)[MeasureTag.TERMINAL], tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_extraction_checks_vector_length(u0, deg222):
     problem = build_problem(Linear(), deg222, u0)
     with pytest.raises(ValueError):
@@ -190,4 +240,17 @@ def test_constraint_without_its_pivot_is_rejected(u0, deg222, monkeypatch):
     patched = [stripped if c is target else c for c in constraints]
     monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: patched)
     with pytest.raises(ValueError, match="no pivot slot"):
+        build_problem(Linear(), deg222, u0)
+
+
+def test_inconsistent_constant_constraint_is_rejected(u0, deg222, monkeypatch):
+    # Keep only the initial term of the constraint of y[0; -1]: 0 = u0[-1] = 1.
+    constraints = generate_constraints(Linear(), deg222, canonical_only=True)
+    target = next(c for c in constraints if c.test_index == MomentIndex(0, (-1,)))
+    stripped = replace(
+        target, terms=tuple(t for t in target.terms if t[1] is MeasureTag.INITIAL)
+    )
+    patched = [stripped if c is target else c for c in constraints]
+    monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: patched)
+    with pytest.raises(ValueError, match="inconsistent constant constraint"):
         build_problem(Linear(), deg222, u0)

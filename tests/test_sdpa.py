@@ -168,13 +168,16 @@ def test_read_solution_skips_blank_lines(tmp_path):
 def test_export_matches_recorded_digests(tmp_path, u0):
     # SHA-256 of each exported file, pinned in tests/data: any change to the
     # assembly or the file format shows here.  Update the file only for an
-    # intended change of the exported problem.
+    # intended change of the exported problem.  Harmonic degree 4 and the
+    # 41 modes of (2, 2, 20) exercise wide count rows in the moment keys.
     recorded = json.loads((Path(__file__).parent / "data" / "sdpa_digests.json").read_text())
+    triples = ((2, 2, 2), (4, 2, 2), (4, 4, 2), (6, 2, 4), (4, 4, 4))
+    cases = [(model, triple) for model in MODELS for triple in triples]
+    cases.append((Linear(), (2, 2, 20)))
     digests = {}
-    for model in MODELS:
-        for triple in ((2, 2, 2), (4, 2, 2), (4, 4, 2)):
-            path = tmp_path / "problem.dat-s"
-            problem = build_problem(model, TruncationDegrees(*triple), u0)
-            write_sdpa_data(to_sdpa_data(problem), path)
-            digests[f"{model!r} {triple}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for model, triple in cases:
+        path = tmp_path / "problem.dat-s"
+        problem = build_problem(model, TruncationDegrees(*triple), u0)
+        write_sdpa_data(to_sdpa_data(problem), path)
+        digests[f"{model!r} {triple}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == recorded
