@@ -263,7 +263,7 @@ def moment_keys(ell: np.ndarray, counts: np.ndarray, deg: TruncationDegrees) -> 
     allows ell (no fixed-radix code, which overflows for many modes).
     """
     if count_moment_vector(deg) >= 2**63 or deg.algebraic > 127:
-        raise ValueError(f"truncation {deg.as_tuple()} too large for int64 moment keys")
+        raise ValueError(f"truncation {deg.as_tuple()} too large for exact int64 moment keys")
     if len(counts) and counts.sum(axis=1).max() > deg.algebraic:
         raise ValueError(f"mode multiset longer than the algebraic degree {deg.algebraic}")
     part, offset = _rank_tables(counts.shape[1], deg.algebraic)
