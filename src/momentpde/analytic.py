@@ -44,26 +44,17 @@ def i_ell_closed_form(ell: int, n_sq: int) -> float:
     return fact / n_sq ** (ell + 1) - math.exp(-n_sq) * tail
 
 
-def _coeff_product(u0: InitialData, freqs: tuple[int, ...]) -> complex:
-    value = 1 + 0j
-    for n in freqs:
-        value *= u0.coeff(n)
-        if value == 0:
-            return 0j
-    return value
-
-
 def analytic_occupation_moment(u0: InitialData, idx: MomentIndex) -> complex:
     n_sq = sum(n * n for n in idx.freqs)
     if n_sq == 0:
         return u0.coeff(0) ** len(idx.freqs) / (idx.time_degree + 1)
-    return _coeff_product(u0, idx.freqs) * i_ell(idx.time_degree, n_sq)
+    return u0.product(idx.freqs) * i_ell(idx.time_degree, n_sq)
 
 
 def analytic_terminal_moment(u0: InitialData, idx: MomentIndex) -> complex:
     """Coefficient product times exp(-N); independent of the time degree."""
     n_sq = sum(n * n for n in idx.freqs)
-    return _coeff_product(u0, idx.freqs) * math.exp(-n_sq)
+    return u0.product(idx.freqs) * math.exp(-n_sq)
 
 
 def analytic_tables(

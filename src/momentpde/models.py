@@ -89,6 +89,15 @@ class InitialData:
     def coeff(self, n: int) -> complex:
         return self.coeffs.get(n, 0j)
 
+    def product(self, freqs: tuple[int, ...]) -> complex:
+        """Product of the coefficients at ``freqs``; 1 for no modes."""
+        value = 1 + 0j
+        for n in freqs:
+            value *= self.coeff(n)
+            if value == 0:
+                return 0j
+        return value
+
     @property
     def max_mode(self) -> int:
         return max((abs(n) for n in self.coeffs), default=0)
@@ -101,14 +110,7 @@ class InitialData:
 
 def initial_moment(u0: InitialData, idx: MomentIndex) -> complex:
     """Moment of the initial Dirac: zero for ell > 0, else the coefficient product."""
-    if idx.time_degree > 0:
-        return 0j
-    value = 1 + 0j
-    for n in idx.freqs:
-        value *= u0.coeff(n)
-        if value == 0:
-            return 0j
-    return value
+    return 0j if idx.time_degree > 0 else u0.product(idx.freqs)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The conic problem min c.x s.t. E x = f, (A_b x + d_b) PSD is written in the
 standard vector form: the file's constraint count is the number of decision
-variables, line 4 carries the objective coefficients, each PSD block stores
-the per-variable coefficient matrices F_i (matno i >= 1) and the constant
-matrix F_0 = -d_b, and the equality rows become one diagonal block holding
-the pairs (E x - f >= 0, f - E x >= 0).  Values are rendered with 17
-significant digits so doubles round-trip bit-exactly.
+variables, line 4 carries the objective coefficients, and each PSD block
+stores its coefficient matrices F_i (matno i >= 1) and F_0 = -d_b.  The
+equality pairs (E x - f >= 0, f - E x >= 0) are an ordinary diagonal block,
+A = [E; -E] and d = [-f; f], written by the same block-to-entries rule.
+Values are rendered with 17 significant digits so doubles round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import scipy.sparse as sp
 from .relaxation import Block, ConicProblem
 
 Entry = tuple[int, int, int, int, float]  # matno, blkno, i, j, value (1-based, i <= j)
+
+_CHUNK = 65536  # entries turned into tuples at a time
 
 
 @dataclass
@@ -36,53 +38,49 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _block_entries(block: Block, blkno: int) -> tuple[np.ndarray, ...]:
+    """Entry columns (matno, blkno, i, j, value), 1-based, of one block: F_0 =
+    -const is matrix 0, the coefficients of variable k are matrix k + 1, full
+    blocks keep the upper triangle and zeros are dropped."""
+    coo = block.coeffs.tocoo()
+    nonzero = np.flatnonzero(block.const)
+    pos = np.concatenate([nonzero, coo.row])
+    matno = np.concatenate([np.zeros(len(nonzero), np.int32), coo.col + 1], dtype=np.int32)
+    value = np.concatenate([-block.const[nonzero], coo.data])
+    i, j = (pos, pos) if block.diagonal else np.divmod(pos, block.size)
+    keep = (value != 0.0) & (i <= j)
+    return (
+        matno[keep],
+        np.full(np.count_nonzero(keep), blkno, np.int32),
+        (i[keep] + 1).astype(np.int32),
+        (j[keep] + 1).astype(np.int32),
+        value[keep],
+    )
+
+
 def to_sdpa_data(problem: ConicProblem) -> SdpaData:
-    entries: list[Entry] = []
-    sizes: list[int] = []
-
-    for blkno, block in enumerate(problem.blocks, start=1):
-        sizes.append(-block.size if block.diagonal else block.size)
-        coo = block.coeffs.tocoo()
-        for p, var, val in zip(coo.row, coo.col, coo.data):
-            if val == 0.0:
-                continue
-            if block.diagonal:
-                r = c = int(p)
-            else:
-                r, c = divmod(int(p), block.size)
-                if r > c:
-                    continue
-            entries.append((int(var) + 1, blkno, r + 1, c + 1, float(val)))
-        for p, val in enumerate(block.const):
-            if val == 0.0:
-                continue
-            if block.diagonal:
-                r = c = p
-            else:
-                r, c = divmod(p, block.size)
-                if r > c:
-                    continue
-            entries.append((0, blkno, r + 1, c + 1, -float(val)))
-
-    num_eq = problem.num_eq
-    if num_eq:
-        blkno = len(problem.blocks) + 1
-        sizes.append(-2 * num_eq)
-        eq = problem.eq_matrix.tocoo()
-        for r, var, val in zip(eq.row, eq.col, eq.data):
-            if val == 0.0:
-                continue
-            entries.append((int(var) + 1, blkno, int(r) + 1, int(r) + 1, float(val)))
-            entries.append(
-                (int(var) + 1, blkno, num_eq + int(r) + 1, num_eq + int(r) + 1, -float(val))
+    blocks = list(problem.blocks)
+    if problem.num_eq:
+        eq, f = problem.eq_matrix, problem.eq_rhs
+        blocks.append(
+            Block(
+                name="equalities",
+                size=2 * problem.num_eq,
+                coeffs=sp.vstack([eq, -eq], format="csr"),
+                const=np.concatenate([-f, f]),
+                diagonal=True,
             )
-        for r, val in enumerate(problem.eq_rhs):
-            if val == 0.0:
-                continue
-            entries.append((0, blkno, r + 1, r + 1, float(val)))
-            entries.append((0, blkno, num_eq + r + 1, num_eq + r + 1, -float(val)))
-
-    entries.sort()
+        )
+    sizes = [-b.size if b.diagonal else b.size for b in blocks]
+    if max([problem.num_vars + 1, *map(abs, sizes)]) > np.iinfo(np.int32).max:
+        raise ValueError("too many variables or too large a block for 32-bit entry indices")
+    columns = [_block_entries(b, k) for k, b in enumerate(blocks, start=1)]
+    columns = [np.concatenate(c) for c in zip(*columns)] if blocks else [np.zeros(0)] * 5
+    order = np.lexsort(columns[::-1])  # by matno, blkno, i, j, then value
+    columns = [c[order] for c in columns]
+    entries: list[Entry] = []
+    for k in range(0, len(order), _CHUNK):
+        entries.extend(zip(*(c[k : k + _CHUNK].tolist() for c in columns)))
     return SdpaData(
         num_constraints=problem.num_vars,
         block_sizes=sizes,
@@ -145,53 +143,53 @@ def read_sdpa(path: str | Path) -> SdpaData:
     return SdpaData(m, sizes, rhs, entries)
 
 
+def _first(entries: list[Entry], bad: np.ndarray) -> Entry | None:
+    hits = np.flatnonzero(bad)
+    return entries[hits[0]] if len(hits) else None
+
+
 def from_sdpa_data(data: SdpaData) -> ConicProblem:
     """Rebuild a conic problem from file data (equalities stay inequality pairs)."""
-    n = data.num_constraints
-    per_block: dict[int, list[Entry]] = {}
-    for entry in data.entries:
-        if not 1 <= entry[1] <= len(data.block_sizes):
-            raise ValueError(
-                f"entry {entry} names block {entry[1]}, but the problem has "
-                f"{len(data.block_sizes)} blocks"
-            )
-        per_block.setdefault(entry[1], []).append(entry)
+    n, nblocks = data.num_constraints, len(data.block_sizes)
+    table = np.array(data.entries, dtype=float).reshape(-1, 5)
+    matno, blkno, i, j = table[:, :4].T.astype(np.int64)
+    value = table[:, 4]
+    if (e := _first(data.entries, (blkno < 1) | (blkno > nblocks))) is not None:
+        raise ValueError(f"entry {e} names block {e[1]}, but the problem has {nblocks} blocks")
+    signed = np.array(data.block_sizes, dtype=np.int64)[blkno - 1]
+    size, diagonal = np.abs(signed), signed < 0
+    outside = (np.minimum(i, j) < 1) | (np.maximum(i, j) > size)
+    if (e := _first(data.entries, outside)) is not None:
+        rows = abs(data.block_sizes[e[1] - 1])
+        raise ValueError(f"entry {e} has a row or column outside 1..{rows} of block {e[1]}")
+    if (e := _first(data.entries, (matno < 0) | (matno > n))) is not None:
+        raise ValueError(f"entry {e} names matrix {e[0]}, but the matrices run 0..{n}")
+    if (e := _first(data.entries, diagonal & (i != j))) is not None:
+        raise ValueError(f"off-diagonal entry ({e[2]},{e[3]}) in diagonal block {e[1]}")
+
+    # An off-diagonal entry of a full block also stands for its mirror (j, i),
+    # taken right after it so that duplicates sum in entry order.
+    take = np.repeat(np.arange(len(value)), np.where(diagonal | (i == j), 1, 2))
+    mirror = np.diff(take, prepend=-1) == 0
+    i, j = np.where(mirror, j[take], i[take]), np.where(mirror, i[take], j[take])
+    matno, blkno, value = matno[take], blkno[take], value[take]
+    pos = np.where(diagonal[take], i - 1, (i - 1) * size[take] + (j - 1))
 
     blocks: list[Block] = []
-    for blkno, signed in enumerate(data.block_sizes, start=1):
-        diagonal = signed < 0
-        size = abs(signed)
-        vec_dim = size if diagonal else size * size
+    for b, signed_size in enumerate(data.block_sizes, start=1):
+        vec_dim = -signed_size if signed_size < 0 else signed_size**2
         const = np.zeros(vec_dim)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-
-        def positions(i: int, j: int) -> list[int]:
-            if diagonal:
-                if i != j:
-                    raise ValueError(f"off-diagonal entry ({i},{j}) in diagonal block {blkno}")
-                return [i - 1]
-            if i == j:
-                return [(i - 1) * size + (j - 1)]
-            return [(i - 1) * size + (j - 1), (j - 1) * size + (i - 1)]
-
-        for matno, _, i, j, value in per_block.get(blkno, []):
-            for p in positions(i, j):
-                if matno == 0:
-                    const[p] -= value  # block constant d = -F_0
-                else:
-                    rows.append(p)
-                    cols.append(matno - 1)
-                    vals.append(value)
-        coeffs = sp.coo_matrix((vals, (rows, cols)), shape=(vec_dim, n)).tocsr()
+        f0 = (blkno == b) & (matno == 0)
+        np.subtract.at(const, pos[f0], value[f0])  # block constant d = -F_0
+        fk = (blkno == b) & (matno > 0)
+        coeffs = sp.coo_matrix((value[fk], (pos[fk], matno[fk] - 1)), shape=(vec_dim, n))
         blocks.append(
             Block(
-                name=f"block{blkno}",
-                size=size,
-                coeffs=coeffs,
+                name=f"block{b}",
+                size=abs(signed_size),
+                coeffs=coeffs.tocsr(),
                 const=const,
-                diagonal=diagonal,
+                diagonal=signed_size < 0,
             )
         )
     return ConicProblem(

@@ -17,7 +17,7 @@ speeds up the consensus.  Everything is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -63,14 +63,10 @@ class SolveReport:
     residual_history: list[float] | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "status": self.status,
-            "primal_objective": self.primal_objective,
-            "max_equality_residual": self.max_equality_residual,
-            "min_block_eigenvalue": self.min_block_eigenvalue,
-            "iterations": self.iterations,
+        """Every field but the residual history, in declaration order."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "residual_history"
         }
-        return out
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:

@@ -92,7 +92,19 @@ def test_solve_subcommand(tmp_path, capsys):
     assert report["status"] == "optimal"
     assert report["max_equality_residual"] <= 1e-6
     assert report["degrees"] == [2, 2, 2]
-    assert "runtime_seconds" in report
+    assert list(report) == [
+        "status",
+        "primal_objective",
+        "max_equality_residual",
+        "min_block_eigenvalue",
+        "iterations",
+        "runtime_seconds",
+        "degrees",
+        "model",
+        "num_vars",
+        "num_equalities",
+        "block_sizes",
+    ]
     csv_text = (tmp_path / "out" / "pseudomoments.csv").read_text()
     assert csv_text.startswith("measure,ell,freqs,re,im\n")
     assert "occupation" in csv_text and "terminal" in csv_text and "initial" in csv_text

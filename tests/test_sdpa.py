@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from momentpde.indices import TruncationDegrees
-from momentpde.models import Linear
-from momentpde.relaxation import build_problem
+from momentpde.models import InitialData, Linear
+from momentpde.relaxation import Block, ConicProblem, build_problem
 from momentpde.sdpa import (
     export_sdpa,
     from_sdpa_data,
@@ -157,6 +158,103 @@ def test_out_of_range_block_is_rejected(tmp_path):
         path.write_text(f"1\n1\n2\n1.0\n1 1 1 1 1.0\n1 {blkno} 1 1 5.0\n")
         with pytest.raises(ValueError, match=f"block {blkno}"):
             from_sdpa_data(read_sdpa(path))
+
+
+@pytest.mark.parametrize(
+    "size, line, message",
+    [
+        (2, "0 1 0 0 5.0", r"entry \(0, 1, 0, 0, 5.0\).*row or column"),
+        (2, "0 1 0 2 5.0", r"entry \(0, 1, 0, 2, 5.0\).*row or column"),
+        (2, "0 1 3 3 5.0", r"entry \(0, 1, 3, 3, 5.0\).*row or column"),
+        (2, "1 1 0 1 5.0", r"entry \(1, 1, 0, 1, 5.0\).*row or column"),
+        (2, "2 1 1 1 5.0", r"entry \(2, 1, 1, 1, 5.0\).*matrix 2"),
+        (-2, "1 1 1 2 5.0", r"off-diagonal entry \(1,2\) in diagonal block 1"),
+    ],
+    ids=["row-0", "column-0", "row-3", "coeff-row-0", "matrix-2", "off-diagonal"],
+)
+def test_invalid_entry_is_rejected(tmp_path, size, line, message):
+    # one 2x2 block (full, or diagonal when size < 0) and m = 1: rows and
+    # columns run 1..2, matrices 0..1
+    path = tmp_path / "entries.dat-s"
+    path.write_text(f"1\n1\n{size}\n1.0\n1 1 1 1 1.0\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        from_sdpa_data(read_sdpa(path))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        min_trace_completion_problem,
+        rank_one_forcing_problem,
+        lambda: build_problem(Linear(), TruncationDegrees(2, 2, 2), InitialData.default()),
+    ],
+    ids=["min_trace", "rank_one", "linear222"],
+)
+def test_file_data_roundtrips_through_reconstruction(tmp_path, factory):
+    # The reconstruction turns the equality pairs into a diagonal block with
+    # nonzero constants; exporting it again must give the same file data,
+    # entry values and order included.
+    path = tmp_path / "p.dat-s"
+    export_sdpa(factory(), path)
+    data = read_sdpa(path)
+    again = to_sdpa_data(from_sdpa_data(data))
+    assert again == data
+    assert all(
+        [type(v) for v in entry] == [int, int, int, int, float] for entry in again.entries
+    )
+
+
+def test_hand_built_block_constants_and_stored_zeros():
+    # Full 2x2 block: row-major positions 0..3, with explicitly stored zeros
+    # at positions 1 and 3, a constant off the diagonal and a lower-triangle
+    # coefficient that the upper-triangle convention drops.  Diagonal 3x3
+    # block: a nonzero constant and a stored zero.  One equality row.
+    full = Block(
+        name="full",
+        size=2,
+        coeffs=sp.csr_matrix(
+            (np.array([2.0, 0.0, 4.0, 0.0, 3.0]), np.array([0, 1, 1, 0, 1]),
+             np.array([0, 1, 2, 3, 5])),
+            shape=(4, 2),
+        ),
+        const=np.array([1.0, 0.5, 0.5, 0.0]),
+    )
+    diag = Block(
+        name="diag",
+        size=3,
+        coeffs=sp.csr_matrix(
+            (np.array([0.0, -1.5]), np.array([0, 1]), np.array([0, 1, 1, 2])),
+            shape=(3, 2),
+        ),
+        const=np.array([0.0, -2.0, 0.25]),
+        diagonal=True,
+    )
+    problem = ConicProblem(
+        num_vars=2,
+        blocks=[full, diag],
+        eq_matrix=sp.csr_matrix(np.array([[1.0, -1.0]])),
+        eq_rhs=np.array([0.75]),
+        objective=np.array([1.0, 2.0]),
+    )
+    data = to_sdpa_data(problem)
+    assert data.num_constraints == 2
+    assert data.block_sizes == [2, -3, -2]
+    assert data.rhs == [1.0, 2.0]
+    assert data.entries == [
+        (0, 1, 1, 1, -1.0),
+        (0, 1, 1, 2, -0.5),
+        (0, 2, 2, 2, 2.0),
+        (0, 2, 3, 3, -0.25),
+        (0, 3, 1, 1, 0.75),
+        (0, 3, 2, 2, -0.75),
+        (1, 1, 1, 1, 2.0),
+        (1, 3, 1, 1, 1.0),
+        (1, 3, 2, 2, -1.0),
+        (2, 1, 2, 2, 3.0),
+        (2, 2, 3, 3, -1.5),
+        (2, 3, 1, 1, -1.0),
+        (2, 3, 2, 2, 1.0),
+    ]
 
 
 def test_read_solution_skips_blank_lines(tmp_path):
