@@ -23,7 +23,6 @@ from .galerkin import (
     trajectory_moments,
 )
 from .indices import (
-    BasisMonomial,
     CanonicalIndex,
     MomentIndex,
     TruncationDegrees,

@@ -60,14 +60,7 @@ _VARIANT_NAMES = {
 }
 
 _MODEL_KEYS = {"variant", "epsilon", "m1", "m2"}
-_SOLVER_KEYS = {
-    "max_iters",
-    "abs_tol",
-    "rel_tol",
-    "penalty",
-    "over_relaxation",
-    "adaptive_penalty",
-}
+_SOLVER_KEYS = {"max_iters", "abs_tol"}
 _ORACLE_KEYS = {"step", "cutoff"}
 _TOP_KEYS = {"model", "initial", "degrees", "solver", "oracle", "output_dir"}
 
@@ -120,14 +113,12 @@ def parse_config(raw: dict) -> RunConfig:
     if "initial" in raw:
         rows = raw["initial"]
         if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == 3 for r in rows
+            isinstance(r, list) and len(r) == 3 and isinstance(r[0], int) for r in rows
         ):
-            _fail("'initial' must be a list of [mode, re, im] triples")
+            _fail("'initial' must be a list of [mode, re, im] triples with integer modes")
         try:
-            cfg.initial = InitialData(
-                {int(n): complex(re, im) for n, re, im in rows}
-            )
-        except ValueError as exc:
+            cfg.initial = InitialData({n: complex(re, im) for n, re, im in rows})
+        except (TypeError, ValueError) as exc:
             _fail(str(exc))
     if "degrees" in raw:
         triple = raw["degrees"]
@@ -156,6 +147,10 @@ def parse_config(raw: dict) -> RunConfig:
         sub = raw["oracle"]
         if not isinstance(sub, dict) or set(sub) - _ORACLE_KEYS:
             _fail("'oracle' accepts only the keys 'step' and 'cutoff'")
+        if not isinstance(sub.get("step", 0.0), (int, float)):
+            _fail("'step' must be a number")
+        if sub.get("cutoff") is not None and not isinstance(sub["cutoff"], int):
+            _fail("'cutoff' must be null or an integer")
         cfg.oracle = OracleSettings(**sub)
     if "output_dir" in raw:
         if not isinstance(raw["output_dir"], str):

@@ -9,13 +9,12 @@ algebraic (max k) and harmonic (max |n_j|).
 
 For bulk work the same indices have an array form: a time degree plus a
 count row of the multiset over the modes, with vectorized canonicalization
-and exact integer keys (``mode_counts``, ``canonical_counts``,
-``moment_keys``).
+(``mode_counts``, ``canonical_counts``); ``moment_keys`` turns each int8 row
+[ell, counts] into one byte-string key.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -114,22 +113,6 @@ class TruncationDegrees:
         return (self.time, self.algebraic, self.harmonic)
 
 
-@dataclass(frozen=True, slots=True)
-class BasisMonomial:
-    """Row/column label of a moment matrix: t^half_degree times a mode multiset."""
-
-    time_half_degree: int
-    freqs: tuple[Frequency, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.time_half_degree < 0:
-            raise ValueError("time_half_degree must be nonnegative")
-        freqs = tuple(self.freqs)
-        if any(freqs[i] > freqs[i + 1] for i in range(len(freqs) - 1)):
-            freqs = tuple(sorted(freqs))
-        object.__setattr__(self, "freqs", freqs)
-
-
 def _mode_multisets(max_len: int, harmonic: int):
     alphabet = range(-harmonic, harmonic + 1)
     for k in range(max_len + 1):
@@ -160,18 +143,22 @@ def count_moment_vector(deg: TruncationDegrees) -> int:
 
 def basis_monomials(
     max_time_half: int, max_alg_half: int, harmonic: int
-) -> list[BasisMonomial]:
-    """Monomial basis with explicit caps; building block for the matrix bases."""
+) -> list[MomentIndex]:
+    """Monomial basis with explicit caps; building block for the matrix bases.
+
+    Each row/column label t^th times a mode multiset is a ``MomentIndex``
+    whose time degree is the half degree th.
+    """
     if max_time_half < 0:
         return []
     return [
-        BasisMonomial(th, freqs)
+        MomentIndex(th, freqs)
         for th in range(max_time_half + 1)
         for freqs in _mode_multisets(max_alg_half, harmonic)
     ]
 
 
-def enumerate_matrix_basis(deg: TruncationDegrees) -> list[BasisMonomial]:
+def enumerate_matrix_basis(deg: TruncationDegrees) -> list[MomentIndex]:
     """Row/column basis of the full moment matrix.
 
     Time and algebraic degrees are halved (so products of two monomials stay
@@ -236,40 +223,15 @@ def canonical_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(conjugated[:, None], rev, counts), conjugated
 
 
-@functools.lru_cache(maxsize=None)
-def _rank_tables(num_modes: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables of the combinatorial number system for ``moment_keys``.
+def moment_keys(ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Exact key of each (time degree, int8 count row): the bytes of the row
+    [ell, counts] as one ``np.void`` scalar, equal only for equal moments.
 
-    A multiset of size k with sorted modes a_1 <= ... <= a_k (numbered from
-    0) has the rank sum_i C(a_i + i - 1, i), distinct among multisets of size
-    k and below C(num_modes + k - 1, k).  ``part[j, p, c]`` is the share of
-    mode j when it fills positions p + 1 .. p + c; ``offset[k]`` counts the
-    multisets of size below k, so offset + rank is distinct over all sizes.
+    The time degree is stored as int8, so it must be at most 127.
     """
-    part = np.zeros((num_modes, max_size + 1, max_size + 1), dtype=np.int64)
-    for j in range(num_modes):
-        for p in range(max_size + 1):
-            for c in range(1, max_size + 1 - p):
-                part[j, p, c] = sum(math.comb(j + i - 1, i) for i in range(p + 1, p + c + 1))
-    sizes = [math.comb(num_modes + k - 1, k) for k in range(max_size + 1)]
-    return part, np.cumsum([0] + sizes, dtype=np.int64)
-
-
-def moment_keys(ell: np.ndarray, counts: np.ndarray, deg: TruncationDegrees) -> np.ndarray:
-    """Exact int64 key of each (time degree, count row), distinct for distinct moments.
-
-    The key is ell times the number of multisets per time degree plus the
-    multiset's rank, so it never exceeds the size of a truncation that
-    allows ell (no fixed-radix code, which overflows for many modes).
-    """
-    if count_moment_vector(deg) >= 2**63 or deg.algebraic > 127:
-        raise ValueError(f"truncation {deg.as_tuple()} too large for exact int64 moment keys")
-    if len(counts) and counts.sum(axis=1).max() > deg.algebraic:
-        raise ValueError(f"mode multiset longer than the algebraic degree {deg.algebraic}")
-    part, offset = _rank_tables(counts.shape[1], deg.algebraic)
-    rank = np.zeros(len(counts), dtype=np.int64)
-    filled = np.zeros(len(counts), dtype=np.intp)
-    for j in range(counts.shape[1]):
-        rank += part[j, filled, counts[:, j]]
-        filled += counts[:, j]
-    return np.asarray(ell, dtype=np.int64) * offset[-1] + offset[filled] + rank
+    if len(ell) and np.max(ell) > 127:
+        raise ValueError("time degrees above 127 do not fit int8 moment keys")
+    rows = np.empty((len(counts), counts.shape[1] + 1), dtype=np.int8)
+    rows[:, 0] = ell
+    rows[:, 1:] = counts
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()

@@ -28,12 +28,10 @@ reverses the row, so entry (r, c) has time degree th_r + th_c + shift and
 count row C_r + reversed(C_c).  The moment is conjugated (its value is the
 conjugate of the stored representative's) exactly when the reversed row is
 larger at the first mode where the row and its reverse differ; this is the
-order of ``canonicalize``.  The canonical (ell, count row) maps to an exact
-int64 key, the time degree times the number of multisets plus the
-multiset's combinatorial-number-system rank, and ``VariableLayout.lookup``
-finds its slots by ``np.searchsorted`` in the layout's sorted keys.  The
-equality rows use the same lookup and are summed from COO triplets in term
-order.
+order of ``canonicalize``.  The bytes of the canonical int8 row [ell, count
+row] are the moment's key, and ``VariableLayout.lookup`` finds its slots by
+``np.searchsorted`` in the layout's sorted keys.  The equality rows use the
+same lookup and are summed from COO triplets in term order.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .indices import (
-    BasisMonomial,
     MomentIndex,
     TruncationDegrees,
     basis_monomials,
@@ -94,7 +91,7 @@ class VariableLayout:
         canon, conjugated = canonical_counts(counts)
         if measure is MeasureTag.TERMINAL:
             ell = np.zeros_like(ell)  # terminal moments alias the ell = 0 slot
-        query = moment_keys(ell, canon, self.degrees)
+        query = moment_keys(ell, canon)
         keys, real, imag = self.keys[measure]
         pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         missing = np.flatnonzero(keys[pos] != query)
@@ -128,7 +125,7 @@ def build_layout(deg: TruncationDegrees) -> VariableLayout:
         counter += int(width.sum())
         for i, re, im in zip(rows.tolist(), real.tolist(), imag.tolist()):
             slots[(measure, indices[i])] = Slot(re, None if im < 0 else im)
-        key = moment_keys(ell[rows], counts[rows], deg)
+        key = moment_keys(ell[rows], counts[rows])
         order = np.argsort(key)
         keys[measure] = (key[order], real[order], imag[order])
     return VariableLayout(degrees=deg, slots=slots, num_vars=counter, keys=keys)
@@ -205,14 +202,14 @@ class BlockSpec:
 
     name: str
     measure: MeasureTag
-    basis: list[BasisMonomial]
+    basis: list[MomentIndex]  # time degree: the half degree of t
     terms: tuple[tuple[int, int], ...]  # (time shift, sign) per moment
     harmonic: int  # modes -harmonic..harmonic of the count rows
 
     def upper_terms(self) -> tuple[np.ndarray, ...]:
         """Arrays (row, col, sign, time degree, count row) of every term on or
         above the diagonal, ordered by row, then column, then term."""
-        th = np.array([b.time_half_degree for b in self.basis], dtype=np.int64)
+        th = np.array([b.time_degree for b in self.basis], dtype=np.int64)
         counts = mode_counts([b.freqs for b in self.basis], self.harmonic)
         r, c = np.triu_indices(len(self.basis))
         shift, sign = np.array(self.terms, dtype=np.int64).T

@@ -32,25 +32,27 @@ _SOLVE_CHUNK = 16
 # Iterations between termination checks, and between penalty adaptations.
 _CHECK_EVERY = 25
 _ADAPT_EVERY = 500
+# Initial splitting penalty rho; residual balancing keeps it within
+# 1e-5..1e5 times this value.
+_PENALTY = 1.0
+_OVER_RELAXATION = 1.6
+# Relative change of the objective between checks that counts as stable.
+_REL_TOL = 1e-9
 
 
 @dataclass
 class SolverSettings:
     max_iters: int = 50000
     abs_tol: float = 1e-7
-    rel_tol: float = 1e-9
-    penalty: float = 1.0  # splitting parameter rho
-    over_relaxation: float = 1.6
-    adaptive_penalty: bool = True  # residual balancing, deterministic
     track_residuals: bool = False
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
-        if not 0 < self.over_relaxation < 2:
-            raise ValueError("over-relaxation factor must lie in (0, 2)")
+        if not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
 
 
 @dataclass
@@ -119,8 +121,7 @@ def solve(
     """Run the splitting iteration; returns the last iterate and a report."""
     settings = settings or SolverSettings()
     n = problem.num_vars
-    rho = settings.penalty
-    alpha = settings.over_relaxation
+    rho = _PENALTY
 
     blocks = problem.blocks
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
@@ -174,7 +175,7 @@ def solve(
         z = h_lu.solve(z_basis_t @ (a_all_t @ (s_all - u_all - v0)) - c_z / rho)
         x = x0 + z_basis @ z
         v_all = a_all @ x + d_all
-        v_relaxed = alpha * v_all + (1.0 - alpha) * s_all
+        v_relaxed = _OVER_RELAXATION * v_all + (1.0 - _OVER_RELAXATION) * s_all
         s_prev, u_prev = s_all, u_all
         s_all = project_all(v_relaxed + u_all)
         u_all = u_all + v_relaxed - s_all
@@ -196,11 +197,7 @@ def solve(
             )
 
         check = it % _CHECK_EVERY == 0 or it == settings.max_iters
-        adapt = (
-            settings.adaptive_penalty
-            and it % _ADAPT_EVERY == 0
-            and it < settings.max_iters
-        )
+        adapt = it % _ADAPT_EVERY == 0 and it < settings.max_iters
         if not (check or adapt):
             continue
         primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
@@ -211,7 +208,7 @@ def solve(
         if check:
             eq_res = float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
             obj = float(c @ x)
-            obj_stable = abs(obj - prev_obj) <= settings.rel_tol * max(1.0, abs(obj))
+            obj_stable = abs(obj - prev_obj) <= _REL_TOL * max(1.0, abs(obj))
             prev_obj = obj
             if (
                 eq_res <= settings.abs_tol
@@ -226,10 +223,10 @@ def solve(
 
         if adapt:
             # Residual balancing; the scaled duals U = Lambda / rho follow rho.
-            if primal > 10 * dual and rho < 1e5 * settings.penalty:
+            if primal > 10 * dual and rho < 1e5 * _PENALTY:
                 rho *= 2.0
                 u_all /= 2.0
-            elif dual > 10 * primal and rho > 1e-5 * settings.penalty:
+            elif dual > 10 * primal and rho > 1e-5 * _PENALTY:
                 rho /= 2.0
                 u_all *= 2.0
 

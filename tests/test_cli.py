@@ -68,6 +68,20 @@ def test_config_validation_errors():
         parse_config({"solver": {"bogus": 1}})
     with pytest.raises(ConfigError):
         parse_config({"extra_key": True})
+    # the splitting knobs are module constants, not settings
+    for key, value in (("penalty", 1.0), ("over_relaxation", 1.6),
+                       ("adaptive_penalty", True), ("rel_tol", 1e-9)):
+        with pytest.raises(ConfigError, match="unknown solver keys"):
+            parse_config({"solver": {key: value}})
+    for bad in ("10", 1.5, True, -3, 0):
+        with pytest.raises(ConfigError, match="max_iters"):
+            parse_config({"solver": {"max_iters": bad}})
+    with pytest.raises(ConfigError, match="integer modes"):
+        parse_config({"initial": [[1.5, 1, 0], [-1.5, 1, 0]]})
+    with pytest.raises(ConfigError, match="step"):
+        parse_config({"oracle": {"step": "0.01"}})
+    with pytest.raises(ConfigError, match="cutoff"):
+        parse_config({"oracle": {"cutoff": "x"}})
     with pytest.raises(ConfigError):
         # forcing modes beyond the harmonic degree
         parse_config(

@@ -1,0 +1,32 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demo 04 (about 20 s) and demo 05 (minutes) are left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_truncation_sizes.py",
+    "02_closed_form_moments.py",
+    "03_galerkin_oracle.py",
+    "06_sdpa_interchange.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

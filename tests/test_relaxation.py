@@ -54,6 +54,13 @@ def test_layout_slot_structure(deg222):
     # a moment outside the truncation has no slot
     with pytest.raises(ValueError, match="no slot"):
         lookup(occupation, 3, (1,))
+    # a multiset longer than the algebraic degree has no slot either
+    with pytest.raises(ValueError, match="no slot"):
+        lookup(occupation, 0, (1, 1, 1))
+    # a time degree that does not fit the int8 key is rejected, not wrapped
+    # onto ell = 0
+    with pytest.raises(ValueError, match="do not fit"):
+        lookup(occupation, 256, (1,))
     # occupation slots first, then terminal; numbering is dense
     assert layout.num_vars == 84
 

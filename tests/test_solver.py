@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
-from momentpde.solver import SolverSettings, null_space, project_psd, solve
+from momentpde.solver import _PENALTY, SolverSettings, null_space, project_psd, solve
 
 MODELS = [Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1)]
 
@@ -92,13 +92,29 @@ def test_solver_is_deterministic():
     assert ra.iterations == rb.iterations
 
 
+@pytest.mark.parametrize(
+    "model, triple, max_iters, status, iterations, objective",
+    [
+        (Linear(), (2, 2, 2), 50000, "optimal", 650, 5.959644251461846),
+        (LocalQuadratic(0.1), (2, 2, 2), 50000, "optimal", 575, 7.188158484655687),
+        (Linear(), (4, 2, 2), 200, "max_iters", 200, 6.432535143240761),
+    ],
+    ids=["linear-222", "local-222", "linear-422-200"],
+)
+def test_solver_arithmetic_is_pinned(u0, model, triple, max_iters, status, iterations, objective):
+    # default data and settings; values recorded from the splitting iteration
+    problem = build_problem(model, TruncationDegrees(*triple), u0)
+    _, report = solve(problem, SolverSettings(max_iters=max_iters))
+    assert (report.status, report.iterations) == (status, iterations)
+    assert report.primal_objective == pytest.approx(objective, rel=1e-10)
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(abs_tol=0)
-    with pytest.raises(ValueError):
-        SolverSettings(penalty=-1)
-    with pytest.raises(ValueError):
-        SolverSettings(over_relaxation=2.5)
+    for bad in ("10", 1.5, True, 0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverSettings(max_iters=bad)
 
 
 def test_infeasible_problem_is_not_reported_optimal():
@@ -140,8 +156,8 @@ def test_first_x_step_matches_dense_kkt_solve(u0, deg222, model):
     # From S = U = 0 the first x-step minimizes (rho/2)|A x + d|^2 + c.x
     # subject to E x = f.
     problem = build_problem(model, deg222, u0)
-    rho = 2.0
-    x, _ = solve(problem, SolverSettings(max_iters=1, penalty=rho))
+    rho = _PENALTY
+    x, _ = solve(problem, SolverSettings(max_iters=1))
     a = np.vstack([b.coeffs.toarray() for b in problem.blocks])
     d = np.concatenate([b.const for b in problem.blocks])
     e = problem.eq_matrix.toarray()
