@@ -37,9 +37,9 @@ from .models import (
     HeatModel,
     InitialData,
     Linear,
-    LinearConstraint,
     LocalQuadratic,
     MeasureTag,
+    MomentEquations,
     constraint_residual,
     generate_constraints,
     initial_moment,

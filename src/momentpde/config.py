@@ -69,6 +69,14 @@ def _fail(msg: str) -> None:
     raise ConfigError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_model(raw: dict) -> HeatModel:
     if not isinstance(raw, dict):
         _fail("'model' must be an object")
@@ -77,7 +85,7 @@ def _parse_model(raw: dict) -> HeatModel:
         _fail(f"unknown model keys: {sorted(unknown)}")
     variant = raw.get("variant", "linear")
     epsilon = raw.get("epsilon", 0.0)
-    if not isinstance(epsilon, (int, float)):
+    if not _is_number(epsilon):
         _fail("'epsilon' must be a number")
     if variant == "linear":
         if epsilon != 0:
@@ -87,7 +95,7 @@ def _parse_model(raw: dict) -> HeatModel:
         return Linear()
     if variant == "distributed":
         m1, m2 = raw.get("m1", 1), raw.get("m2", 1)
-        if not (isinstance(m1, int) and isinstance(m2, int)):
+        if not (_is_int(m1) and _is_int(m2)):
             _fail("'m1' and 'm2' must be integers")
         try:
             return DistributedQuadratic(float(epsilon), m1, m2)
@@ -113,19 +121,20 @@ def parse_config(raw: dict) -> RunConfig:
     if "initial" in raw:
         rows = raw["initial"]
         if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == 3 and isinstance(r[0], int) for r in rows
+            isinstance(r, list) and len(r) == 3 and _is_int(r[0]) and all(map(_is_number, r[1:]))
+            for r in rows
         ):
-            _fail("'initial' must be a list of [mode, re, im] triples with integer modes")
+            _fail("'initial' must be a list of [mode, re, im] triples, integer modes, numeric parts")
         try:
             cfg.initial = InitialData({n: complex(re, im) for n, re, im in rows})
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             _fail(str(exc))
     if "degrees" in raw:
         triple = raw["degrees"]
         if (
             not isinstance(triple, list)
             or len(triple) != 3
-            or not all(isinstance(v, int) for v in triple)
+            or not all(_is_int(v) for v in triple)
         ):
             _fail("'degrees' must be a list of three integers [time, algebraic, harmonic]")
         try:
@@ -147,9 +156,9 @@ def parse_config(raw: dict) -> RunConfig:
         sub = raw["oracle"]
         if not isinstance(sub, dict) or set(sub) - _ORACLE_KEYS:
             _fail("'oracle' accepts only the keys 'step' and 'cutoff'")
-        if not isinstance(sub.get("step", 0.0), (int, float)):
+        if not _is_number(sub.get("step", 0.0)):
             _fail("'step' must be a number")
-        if sub.get("cutoff") is not None and not isinstance(sub["cutoff"], int):
+        if sub.get("cutoff") is not None and not _is_int(sub["cutoff"]):
             _fail("'cutoff' must be null or an integer")
         cfg.oracle = OracleSettings(**sub)
     if "output_dir" in raw:

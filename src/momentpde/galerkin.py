@@ -43,11 +43,6 @@ class Trajectory:
             return np.zeros_like(self.times, dtype=complex)
         return self.states[:, n + self.cutoff]
 
-    def conjugate_symmetry_error(self) -> float:
-        """Max |u_{-n} - conj(u_n)| along the trajectory."""
-        flipped = self.states[:, ::-1]
-        return float(np.abs(flipped - self.states.conj()).max())
-
 
 def _mode_derivatives(model: HeatModel, u: np.ndarray, cutoff: int) -> np.ndarray:
     n = np.arange(-cutoff, cutoff + 1)

@@ -44,10 +44,6 @@ class MomentIndex:
             freqs = tuple(sorted(freqs))
         object.__setattr__(self, "freqs", freqs)
 
-    def negated(self) -> "MomentIndex":
-        """Index of the complex-conjugate moment (all mode signs flipped)."""
-        return MomentIndex(self.time_degree, tuple(-n for n in self.freqs))
-
     def __str__(self) -> str:
         return f"y[{self.time_degree};{','.join(map(str, self.freqs))}]"
 
@@ -79,11 +75,6 @@ def canonicalize(idx: MomentIndex) -> CanonicalIndex:
 
 def is_canonical(idx: MomentIndex) -> bool:
     return not canonicalize(idx).conjugated
-
-
-def is_self_conjugate(idx: MomentIndex) -> bool:
-    """True when the multiset is invariant under negation (moment forced real)."""
-    return tuple(sorted(-n for n in idx.freqs)) == idx.freqs
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,11 +164,6 @@ def count_matrix_basis(deg: TruncationDegrees) -> int:
         math.comb(2 * deg.harmonic + k, k) for k in range(deg.algebraic // 2 + 1)
     )
     return (deg.time // 2 + 1) * per_t
-
-
-def canonical_indices(deg: TruncationDegrees) -> list[MomentIndex]:
-    """Canonical representatives of the truncated moment vector, in order."""
-    return [idx for idx in enumerate_moment_vector(deg) if is_canonical(idx)]
 
 
 # -- Array encoding ---------------------------------------------------------

@@ -11,8 +11,11 @@ scalar linear equation tying initial, terminal and occupation moments:
 
     y^1 - y^0 = ell*y[ell-1, n] - (sum_j n_j^2)*y[ell, n] + eps*(model terms)
 
-with the ell-term absent for ell = 0.  Constraints are stored in residual
-form (all terms moved left, rhs constant on the right).
+with the ell-term absent for ell = 0.  ``generate_constraints`` returns the
+equations of a truncation as one ``MomentEquations`` of count-row arrays.
+Equation e reads y^1[ell; C] - y^0[ell; C] + sum_k coeff_k*y[ell_k; C_k] = 0:
+its terminal and initial terms are implied by its test index (ell, C), and
+only the occupation terms are stored, so there is no right-hand side.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+import numpy as np
+
 from .indices import (
     MomentIndex,
     TruncationDegrees,
+    canonical_counts,
+    count_freqs,
     enumerate_moment_vector,
-    is_canonical,
+    mode_counts,
 )
 from .tables import MissingMomentError, MomentTable
 
@@ -113,108 +120,124 @@ def initial_moment(u0: InitialData, idx: MomentIndex) -> complex:
     return 0j if idx.time_degree > 0 else u0.product(idx.freqs)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One scalar complex-linear equation over moments of the three measures."""
+@dataclass(frozen=True, eq=False)
+class MomentEquations:
+    """The moment equations of a truncation as count-row arrays.
 
-    terms: tuple[tuple[complex, MeasureTag, MomentIndex], ...]
-    rhs: complex = 0j
-    test_index: MomentIndex | None = None
+    Equation e has the test index (``test_ell[e]``, ``test_counts[e]``);
+    occupation term k belongs to equation ``eq[k]`` and contributes
+    ``coeff[k] * y[ell[k]; counts[k]]``.  Count rows are int8 over the modes
+    -harmonic..harmonic.  Terms of one equation are contiguous, in the order
+    of their first occurrence.
+    """
 
-    def residual(self, tables: Mapping[MeasureTag, MomentTable]) -> complex:
-        total = -self.rhs
-        for coeff, measure, idx in self.terms:
-            try:
-                total += coeff * tables[measure].get(idx)
-            except MissingMomentError as exc:
-                raise MissingMomentError(exc.index, measure=measure.value) from None
-        return total
+    harmonic: int
+    test_ell: np.ndarray
+    test_counts: np.ndarray
+    eq: np.ndarray
+    coeff: np.ndarray
+    ell: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.test_ell)
 
 
-def _without(freqs: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return freqs[:pos] + freqs[pos + 1 :]
-
-
-def _constraint_for(
-    model: HeatModel, deg: TruncationDegrees, test: MomentIndex
-) -> LinearConstraint | None:
-    ell, freqs = test.time_degree, test.freqs
-    k = len(freqs)
-    eps = model.epsilon
-
-    acc: dict[tuple[MeasureTag, MomentIndex], complex] = {}
-
-    def add(measure: MeasureTag, idx: MomentIndex, coeff: complex) -> None:
-        key = (measure, idx)
-        acc[key] = acc.get(key, 0j) + coeff
-
-    add(MeasureTag.TERMINAL, test, 1)
-    add(MeasureTag.INITIAL, test, -1)
-    if ell > 0:
-        add(MeasureTag.OCCUPATION, MomentIndex(ell - 1, freqs), -ell)
-    n_sq = sum(n * n for n in freqs)
-    if n_sq:
-        add(MeasureTag.OCCUPATION, test, n_sq)
-
-    if isinstance(model, DistributedQuadratic) and eps != 0:
-        zero_positions = [j for j, n in enumerate(freqs) if n == 0]
-        if zero_positions:
-            if k + 1 > deg.algebraic:
-                return None  # forcing term would leave the truncation
-            for j in zero_positions:
-                rest = _without(freqs, j)
-                for s1 in (model.m1, -model.m1):
-                    for s2 in (model.m2, -model.m2):
-                        add(
-                            MeasureTag.OCCUPATION,
-                            MomentIndex(ell, rest + (s1, s2)),
-                            -eps,
-                        )
-    elif isinstance(model, LocalQuadratic) and eps != 0 and k > 0:
-        if k + 1 > deg.algebraic:
-            return None  # convolution term would leave the truncation
-        for j, n in enumerate(freqs):
-            rest = _without(freqs, j)
-            lo = max(-deg.harmonic, n - deg.harmonic)
-            hi = min(deg.harmonic, n + deg.harmonic)
-            for m in range(lo, hi + 1):
-                add(MeasureTag.OCCUPATION, MomentIndex(ell, rest + (m, n - m)), -eps)
-
-    terms = tuple(
-        (coeff, measure, idx) for (measure, idx), coeff in acc.items() if coeff != 0
-    )
-    return LinearConstraint(terms=terms, rhs=0j, test_index=test)
+def _moved(counts: np.ndarray, h: int, remove: np.ndarray | int, *add: np.ndarray) -> np.ndarray:
+    """Count rows with one copy of mode ``remove`` taken out and ``add`` put in."""
+    rows = counts.copy()
+    i = np.arange(len(rows))
+    rows[i, remove + h] -= 1
+    for mode in add:
+        rows[i, mode + h] += 1
+    return rows
 
 
 def generate_constraints(
     model: HeatModel, deg: TruncationDegrees, *, canonical_only: bool = False
-) -> list[LinearConstraint]:
-    """One constraint per admissible test index of the truncation.
+) -> MomentEquations:
+    """One equation per admissible test index of the truncation.
 
     Test indices whose model terms would reference moments outside the
     truncation are dropped (a clipped equation would be wrong, a dropped one
     is merely absent).  With ``canonical_only`` set, only one representative
-    per conjugate pair of test indices is emitted; the omitted ones are the
-    conjugates of emitted constraints and carry no extra information.
+    per conjugate pair of test indices is kept; the omitted ones give the
+    conjugates of kept equations and carry no extra information.
     """
+    h, eps = deg.harmonic, model.epsilon
     if isinstance(model, DistributedQuadratic):
-        if model.m1 > deg.harmonic or model.m2 > deg.harmonic:
+        if model.m1 > h or model.m2 > h:
             raise ValueError(
-                f"forcing modes ({model.m1}, {model.m2}) exceed harmonic degree "
-                f"{deg.harmonic}"
+                f"forcing modes ({model.m1}, {model.m2}) exceed harmonic degree {h}"
             )
-    constraints = []
-    for test in enumerate_moment_vector(deg):
-        if canonical_only and not is_canonical(test):
-            continue
-        constraint = _constraint_for(model, deg, test)
-        if constraint is not None:
-            constraints.append(constraint)
-    return constraints
+    tests = enumerate_moment_vector(deg)
+    ell = np.array([t.time_degree for t in tests], dtype=np.int64)
+    counts = mode_counts([t.freqs for t in tests], h)
+    keep = ~canonical_counts(counts)[1] if canonical_only else np.ones(len(ell), bool)
+    k = counts.sum(axis=1)
+    distributed = isinstance(model, DistributedQuadratic) and eps != 0
+    local = isinstance(model, LocalQuadratic) and eps != 0
+    if distributed:  # the terms of a zero mode need one more mode
+        keep &= (k < deg.algebraic) | (counts[:, h] == 0)
+    elif local:  # the terms of every mode need one more mode
+        keep &= (k < deg.algebraic) | (k == 0)
+    ell, counts = ell[keep], counts[keep]
+
+    # Terms (equation, coefficient, ell, count row): -ell y[ell-1; C] and
+    # (sum n^2) y[ell; C], then -eps per model term and mode occurrence.
+    modes = np.arange(-h, h + 1)
+    n_sq = counts.astype(np.int64) @ (modes * modes)
+    later, moving = np.flatnonzero(ell > 0), np.flatnonzero(n_sq)
+    parts = [
+        (later, -ell[later], ell[later] - 1, counts[later]),
+        (moving, n_sq[moving], ell[moving], counts[moving]),
+    ]
+    occ_eq = np.repeat(np.repeat(np.arange(len(ell)), len(modes)), counts.ravel())
+    occ_mode = np.repeat(np.tile(modes, len(ell)), counts.ravel())
+    if distributed:  # (+-m1, +-m2) per zero mode
+        zeros = occ_eq[occ_mode == 0]
+        m1, m2 = model.m1, model.m2
+        s1, s2 = np.tile([[m1, m1, -m1, -m1], [m2, -m2, m2, -m2]], len(zeros))
+        eq = np.repeat(zeros, 4)
+        parts.append((eq, np.full(len(eq), -eps), ell[eq], _moved(counts[eq], h, 0, s1, s2)))
+    elif local:  # (m, n - m) per mode n, with both modes inside -h..h
+        width = 2 * h + 1 - np.abs(occ_mode)
+        eq, n = np.repeat(occ_eq, width), np.repeat(occ_mode, width)
+        start = np.repeat(np.cumsum(width) - width, width)
+        m = np.maximum(-h, n - h) + np.arange(len(eq)) - start
+        parts.append((eq, np.full(len(eq), -eps), ell[eq], _moved(counts[eq], h, n, m, n - m)))
+
+    eq, coeff, term_ell, term_counts = (np.concatenate(column) for column in zip(*parts))
+    # A moment repeated within an equation keeps its first place; its
+    # coefficients are summed in occurrence order.
+    _, first, group = np.unique(
+        np.column_stack([eq, term_ell, term_counts]), axis=0, return_index=True, return_inverse=True
+    )
+    total = np.bincount(group.ravel(), weights=coeff)
+    place = np.lexsort((first, eq[first]))  # by equation, then by first occurrence
+    first, total = first[place], total[place]
+    first, total = first[total != 0], total[total != 0]
+    return MomentEquations(h, ell, counts, eq[first], total, term_ell[first], term_counts[first])
 
 
 def constraint_residual(
-    constraints: list[LinearConstraint], tables: Mapping[MeasureTag, MomentTable]
+    equations: MomentEquations, tables: Mapping[MeasureTag, MomentTable]
 ) -> float:
-    """Max absolute violation of the constraints by the given moment tables."""
-    return max((abs(c.residual(tables)) for c in constraints), default=0.0)
+    """Max absolute violation of the equations by the given moment tables."""
+
+    def values(measure: MeasureTag, ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        table = tables[measure]
+        freqs = count_freqs(counts, equations.harmonic)
+        try:
+            return np.array(
+                [table.get(MomentIndex(e, f)) for e, f in zip(ell.tolist(), freqs)],
+                dtype=complex,
+            )
+        except MissingMomentError as exc:
+            raise MissingMomentError(exc.index, measure=measure.value) from None
+
+    test = (equations.test_ell, equations.test_counts)
+    residual = values(MeasureTag.TERMINAL, *test) - values(MeasureTag.INITIAL, *test)
+    occupation = values(MeasureTag.OCCUPATION, equations.ell, equations.counts)
+    np.add.at(residual, equations.eq, equations.coeff * occupation)
+    return float(np.abs(residual).max(initial=0.0))

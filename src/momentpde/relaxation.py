@@ -31,7 +31,10 @@ larger at the first mode where the row and its reverse differ; this is the
 order of ``canonicalize``.  The bytes of the canonical int8 row [ell, count
 row] are the moment's key, and ``VariableLayout.lookup`` finds its slots by
 ``np.searchsorted`` in the layout's sorted keys.  The equality rows use the
-same lookup and are summed from COO triplets in term order.
+same lookup on the count rows of ``MomentEquations``.  The pivot of a row,
+the slot its recursion step solves for, comes from its test index (ell, C):
+the terminal moment (0, C) at ell = 0, else the occupation moment
+(ell - 1, C).
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from .indices import (
 from .models import (
     HeatModel,
     InitialData,
-    LinearConstraint,
     MeasureTag,
+    MomentEquations,
     generate_constraints,
     initial_moment,
 )
@@ -277,82 +280,58 @@ def _embedded_block(spec: BlockSpec, layout: VariableLayout) -> Block:
 
 
 def _equalities(
-    constraints: list[LinearConstraint], layout: VariableLayout, u0: InitialData
+    equations: MomentEquations, layout: VariableLayout, u0: InitialData
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Equality matrix, right-hand side and pivot slot of each row.
 
-    Each constraint gives a real and an imaginary row, dropped when empty;
+    Each equation gives a real and an imaginary row, dropped when empty;
     initial moments are substituted as constants.  A row's pivot is the slot
     its recursion step solves for: the terminal moment of the test index at
-    ell = 0, else the occupation moment (ell - 1, freqs).
+    ell = 0, else the occupation moment (ell - 1, C).
     """
-    n = layout.num_vars
-    row, coeffs, terminal, ell, freqs = [], [], [], [], []
-    consts, pivot_term = [], []
-    for i, constraint in enumerate(constraints):
-        test_ell = constraint.test_index.time_degree
-        const = -constraint.rhs
-        pivot = -1
-        for coeff, measure, idx in constraint.terms:
-            if measure is MeasureTag.INITIAL:
-                const += coeff * initial_moment(u0, idx)
-                continue
-            is_terminal = measure is MeasureTag.TERMINAL
-            if idx.time_degree == test_ell - 1 or (test_ell == 0 and is_terminal):
-                pivot = len(coeffs)
-            row.append(i)
-            coeffs.append(coeff)
-            terminal.append(is_terminal)
-            ell.append(idx.time_degree)
-            freqs.append(idx.freqs)
-        consts.append(const)
-        pivot_term.append(pivot)
+    n, m, h = layout.num_vars, len(equations), layout.degrees.harmonic
+    test_ell, test_counts = equations.test_ell, equations.test_counts
+    terminal = layout.lookup(MeasureTag.TERMINAL, test_ell, test_counts)
+    occupation = layout.lookup(MeasureTag.OCCUPATION, equations.ell, equations.counts)
+    # coeff * y with y = x[real] + i conj x[imag]: the real part goes to row
+    # 2e and the imaginary part to row 2e + 1 of equation e.  At most a
+    # moment and its conjugate share an entry, so their sum is exact.
+    row = np.concatenate([np.arange(m), equations.eq])
+    coeff = np.concatenate([np.ones(m), equations.coeff])
+    real, imag, conj = (np.concatenate(pair) for pair in zip(terminal, occupation))
+    has_imag = imag >= 0
+    rows = np.concatenate([2 * row, 2 * row[has_imag] + 1])
+    cols = np.concatenate([real, imag[has_imag]])
+    vals = np.concatenate([coeff, (coeff * conj)[has_imag]])
+    eq = sp.csr_matrix((vals, (rows, cols)), shape=(2 * m, n))
+    eq.eliminate_zeros()
+    nonempty = np.diff(eq.indptr) > 0
 
-    terminal = np.array(terminal, dtype=bool)
-    ell = np.array(ell, dtype=np.int64)
-    counts = mode_counts(freqs, layout.degrees.harmonic)
-    real, imag, conj = (np.empty(len(ell), dtype=np.int64) for _ in range(3))
-    for measure, mask in ((MeasureTag.OCCUPATION, ~terminal), (MeasureTag.TERMINAL, terminal)):
-        real[mask], imag[mask], conj[mask] = layout.lookup(measure, ell[mask], counts[mask])
+    initial = np.flatnonzero(test_ell == 0)
+    f = np.zeros(m, dtype=complex)  # y^0, moved to the right
+    f[initial] = [u0.product(freqs) for freqs in count_freqs(test_counts[initial], h)]
+    rhs = np.column_stack([f.real, f.imag]).ravel()
 
-    # coeff * y with y = x[real] + i conj x[imag], split into the real part
-    # (row 2i) and the imaginary part (row 2i + 1) of constraint i.  Sums run
-    # in term order, as a left fold from 0.0.
-    coeffs = np.array(coeffs, dtype=complex)
-    part = np.array([0, 1, 0, 1])
-    var = np.column_stack([real, real, imag, imag])
-    val = np.column_stack([coeffs.real, coeffs.imag, -conj * coeffs.imag, conj * coeffs.real])
-    group = (2 * np.array(row, dtype=np.int64).reshape(-1, 1) + part) * n + var
-    live = (val != 0.0) & (var >= 0)
-    group, inverse = np.unique(group[live], return_inverse=True)
-    total = np.bincount(inverse, weights=val[live])
-    group, total = group[total != 0.0], total[total != 0.0]
-    eq_row, eq_var = np.divmod(group, n)
+    # The recursion solves for y^1[0; C] at ell = 0, else for y[ell - 1; C].
+    back = layout.lookup(MeasureTag.OCCUPATION, np.maximum(test_ell - 1, 0), test_counts)
+    pivots = np.where(test_ell > 0, back[:2], terminal[:2]).T.ravel()
+    held = np.flatnonzero(pivots >= 0)
+    at_pivot = np.zeros(2 * m)
+    at_pivot[held] = np.asarray(eq[held, pivots[held]]).ravel()
 
-    nonempty = np.zeros(2 * len(constraints), dtype=bool)
-    nonempty[eq_row] = True
-    consts = np.array(consts, dtype=complex)
-    rhs = np.column_stack([-consts.real, -consts.imag]).ravel()
-    # pivot term -1 (none) picks the last row, (-1, -1): no pivot slot
-    slots = np.vstack([np.column_stack([real, imag]), [-1, -1]])
-    pivots = slots[np.array(pivot_term, dtype=np.int64)].ravel()
-
-    no_pivot = nonempty & (pivots < 0)
+    no_pivot = nonempty & (at_pivot == 0)
     inconsistent = ~nonempty & (np.abs(rhs) > 1e-9)
     bad = np.flatnonzero(no_pivot | inconsistent)
     if len(bad):
         j = bad[0]
-        test = constraints[j // 2].test_index
+        (freqs,) = count_freqs(test_counts[j // 2 : j // 2 + 1], h)
+        test = MomentIndex(int(test_ell[j // 2]), freqs)
         if no_pivot[j]:
             raise ValueError(f"no pivot slot for a row of the constraint of test index {test}")
         raise ValueError(
             f"inconsistent constant constraint from test index {test}: 0 = {rhs[j]}"
         )
-    renumber = np.cumsum(nonempty) - 1
-    eq = sp.csr_matrix(
-        (total, (renumber[eq_row], eq_var)), shape=(int(nonempty.sum()), n)
-    )
-    return eq, rhs[nonempty], pivots[nonempty]
+    return eq[nonempty], rhs[nonempty], pivots[nonempty]
 
 
 MIN_TIME_DEGREE = 2
@@ -370,8 +349,8 @@ def build_problem(
         )
     layout = build_layout(deg)
     n = layout.num_vars
-    constraints = generate_constraints(model, deg, canonical_only=True)
-    eq, eq_rhs, eq_pivots = _equalities(constraints, layout, u0)
+    equations = generate_constraints(model, deg, canonical_only=True)
+    eq, eq_rhs, eq_pivots = _equalities(equations, layout, u0)
 
     specs = block_specs(deg)
     blocks = [_embedded_block(spec, layout) for spec in specs]

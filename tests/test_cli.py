@@ -82,6 +82,19 @@ def test_config_validation_errors():
         parse_config({"oracle": {"step": "0.01"}})
     with pytest.raises(ConfigError, match="cutoff"):
         parse_config({"oracle": {"cutoff": "x"}})
+    # a bool is an int in Python, but never a number here
+    for bad, match in (
+        ({"solver": {"abs_tol": True}}, "abs_tol"),
+        ({"degrees": [2, 2, True]}, "degrees"),
+        ({"model": {"variant": "local", "epsilon": True}}, "epsilon"),
+        ({"initial": [[True, 1, 0], [-1, 1, 0]]}, "integer modes"),
+        ({"initial": [[1, True, 0], [-1, 1, 0]]}, "numeric parts"),
+        ({"oracle": {"step": True}}, "step"),
+        ({"model": {"variant": "distributed", "epsilon": 0.1, "m1": True}}, "m1"),
+        ({"oracle": {"cutoff": True}}, "cutoff"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(bad)
     with pytest.raises(ConfigError):
         # forcing modes beyond the harmonic degree
         parse_config(

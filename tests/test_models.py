@@ -1,11 +1,15 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from momentpde.analytic import analytic_tables
 from momentpde.indices import (
     MomentIndex,
     TruncationDegrees,
-    canonical_indices,
+    count_freqs,
     enumerate_moment_vector,
+    is_canonical,
 )
 from momentpde.models import (
     DistributedQuadratic,
@@ -37,36 +41,49 @@ def test_initial_moment_examples(u0):
     assert initial_moment(u0, MomentIndex(0, (2,))) == 0
 
 
-def _terms_dict(constraint):
-    return {(m, i): c for c, m, i in constraint.terms}
+def negated(idx):
+    return MomentIndex(idx.time_degree, tuple(-n for n in idx.freqs))
 
 
-def _find(constraints, time_degree, freqs):
-    target = MomentIndex(time_degree, freqs)
-    matches = [c for c in constraints if c.test_index == target]
-    assert len(matches) == 1
-    return matches[0]
+def expand(equations):
+    """{test index: {(measure, moment): coeff}} of every equation, with the
+    implied terminal (+1) and initial (-1) terms."""
+    h = equations.harmonic
+    tests = [
+        MomentIndex(ell, freqs)
+        for ell, freqs in zip(equations.test_ell.tolist(), count_freqs(equations.test_counts, h))
+    ]
+    out = {t: {(MeasureTag.TERMINAL, t): 1.0, (MeasureTag.INITIAL, t): -1.0} for t in tests}
+    assert len(out) == len(tests)  # one equation per test index
+    assert np.all(np.diff(equations.eq) >= 0)  # the terms of an equation are contiguous
+    terms = zip(
+        equations.eq.tolist(),
+        equations.coeff.tolist(),
+        equations.ell.tolist(),
+        count_freqs(equations.counts, h),
+    )
+    for e, coeff, ell, freqs in terms:
+        key = (MeasureTag.OCCUPATION, MomentIndex(ell, freqs))
+        assert key not in out[tests[e]]  # repeated moments are merged
+        out[tests[e]][key] = coeff
+    return out
 
 
 def test_linear_constraint_examples(deg222):
-    constraints = generate_constraints(Linear(), deg222)
+    equations = expand(generate_constraints(Linear(), deg222))
     # mass conservation: empty sums leave terminal minus initial
-    mass = _find(constraints, 0, ())
-    assert _terms_dict(mass) == {
+    assert equations[MomentIndex(0, ())] == {
         (MeasureTag.TERMINAL, MomentIndex(0, ())): 1,
         (MeasureTag.INITIAL, MomentIndex(0, ())): -1,
     }
-    assert mass.rhs == 0
     # single mode: y1 - y0 = -1 * occupation
-    c = _find(constraints, 0, (1,))
-    assert _terms_dict(c) == {
+    assert equations[MomentIndex(0, (1,))] == {
         (MeasureTag.TERMINAL, MomentIndex(0, (1,))): 1,
         (MeasureTag.INITIAL, MomentIndex(0, (1,))): -1,
         (MeasureTag.OCCUPATION, MomentIndex(0, (1,))): 1,
     }
     # time term appears for ell >= 1 with coefficient -ell
-    c = _find(constraints, 2, (1,))
-    terms = _terms_dict(c)
+    terms = equations[MomentIndex(2, (1,))]
     assert terms[(MeasureTag.OCCUPATION, MomentIndex(1, (1,)))] == -2
     assert terms[(MeasureTag.OCCUPATION, MomentIndex(2, (1,)))] == 1
 
@@ -76,28 +93,27 @@ def test_linear_constraint_count_matches_moment_vector(deg222, deg422):
         constraints = generate_constraints(Linear(), deg)
         assert len(constraints) == len(enumerate_moment_vector(deg))
         canon = generate_constraints(Linear(), deg, canonical_only=True)
-        assert len(canon) == len(canonical_indices(deg))
+        assert len(canon) == sum(map(is_canonical, enumerate_moment_vector(deg)))
 
 
 def test_conjugated_test_index_gives_conjugated_constraint(deg422):
-    constraints = {c.test_index: c for c in generate_constraints(Linear(), deg422)}
-    for test, c in constraints.items():
-        mirror = constraints[test.negated()]
-        mirrored = {(m, i.negated()): coeff for (m, i), coeff in _terms_dict(mirror).items()}
-        assert mirrored == {k: v.conjugate() for k, v in _terms_dict(c).items()}
+    equations = expand(generate_constraints(Linear(), deg422))
+    for test, terms in equations.items():
+        mirror = equations[negated(test)]
+        mirrored = {(m, negated(i)): coeff for (m, i), coeff in mirror.items()}
+        assert mirrored == {k: v.conjugate() for k, v in terms.items()}
 
 
 def test_distributed_epsilon_terms_only_on_zero_modes(deg422):
     model = DistributedQuadratic(0.5, 1, 1)
-    constraints = generate_constraints(model, deg422)
-    for c in constraints:
+    for test, terms in expand(generate_constraints(model, deg422)).items():
         eps_terms = {
             (m, i): coeff
-            for (m, i), coeff in _terms_dict(c).items()
+            for (m, i), coeff in terms.items()
             if m is MeasureTag.OCCUPATION
-            and len(i.freqs) == len(c.test_index.freqs) + 1
+            and len(i.freqs) == len(test.freqs) + 1
         }
-        if 0 not in c.test_index.freqs:
+        if 0 not in test.freqs:
             assert not eps_terms
         else:
             assert eps_terms
@@ -113,8 +129,7 @@ def test_distributed_forcing_modes_must_fit_truncation(deg222):
 def test_distributed_example_terms(deg422):
     # test index (0, [0]): forcing spreads over the four sign choices of (1, 1)
     model = DistributedQuadratic(0.25, 1, 1)
-    c = _find(generate_constraints(model, deg422), 0, (0,))
-    terms = _terms_dict(c)
+    terms = expand(generate_constraints(model, deg422))[MomentIndex(0, (0,))]
     assert terms[(MeasureTag.OCCUPATION, MomentIndex(0, (1, 1)))] == -0.25
     assert terms[(MeasureTag.OCCUPATION, MomentIndex(0, (-1, 1)))] == -0.5
     assert terms[(MeasureTag.OCCUPATION, MomentIndex(0, (-1, -1)))] == -0.25
@@ -124,10 +139,10 @@ def test_local_convolution_window():
     # d_h = 2, test index (0, [1]): admissible m in {-1, 0, 1, 2}, multisets pair up
     deg = TruncationDegrees(2, 2, 2)
     model = LocalQuadratic(1e-3)
-    c = _find(generate_constraints(model, deg), 0, (1,))
+    terms = expand(generate_constraints(model, deg))[MomentIndex(0, (1,))]
     eps_terms = {
         i: coeff
-        for (m, i), coeff in _terms_dict(c).items()
+        for (m, i), coeff in terms.items()
         if m is MeasureTag.OCCUPATION and len(i.freqs) == 2
     }
     # brute-force window enumeration
@@ -144,19 +159,20 @@ def test_local_convolution_window():
 def test_zero_epsilon_regenerates_linear_constraints(deg422):
     linear = generate_constraints(Linear(), deg422)
     for model in (DistributedQuadratic(0.0, 1, 1), LocalQuadratic(0.0)):
-        assert generate_constraints(model, deg422) == linear
+        equations = generate_constraints(model, deg422)
+        assert expand(equations) == expand(linear)
+        for name in ("test_ell", "test_counts", "eq", "coeff", "ell", "counts"):
+            assert np.array_equal(getattr(equations, name), getattr(linear, name))
 
 
 def test_nonlinear_admissibility_drops_top_algebraic_degree(deg422):
     # local model: every test index with 1 <= k needs k+1 <= algebraic degree
-    constraints = generate_constraints(LocalQuadratic(1.0), deg422)
-    kept = {c.test_index for c in constraints}
+    kept = set(expand(generate_constraints(LocalQuadratic(1.0), deg422)))
     for idx in enumerate_moment_vector(deg422):
         k = len(idx.freqs)
         assert (idx in kept) == (k + 1 <= deg422.algebraic or k == 0)
     # distributed model: only dropped when a zero mode forces the epsilon term
-    constraints = generate_constraints(DistributedQuadratic(1.0, 1, 1), deg422)
-    kept = {c.test_index for c in constraints}
+    kept = set(expand(generate_constraints(DistributedQuadratic(1.0, 1, 1), deg422)))
     for idx in enumerate_moment_vector(deg422):
         k = len(idx.freqs)
         dropped = 0 in idx.freqs and k + 1 > deg422.algebraic
@@ -175,14 +191,11 @@ def test_constraint_residual_zeroed_occupation(u0, deg222):
     zeroed[MeasureTag.OCCUPATION] = MomentTable(
         {idx: 0j for idx, _ in tables[MeasureTag.OCCUPATION].items()}
     )
-    constraints = generate_constraints(Linear(), deg222)
-    res = constraint_residual(constraints, zeroed)
+    equations = generate_constraints(Linear(), deg222)
+    res = constraint_residual(equations, zeroed)
     expected = max(
-        abs(
-            tables[MeasureTag.TERMINAL].get(c.test_index)
-            - tables[MeasureTag.INITIAL].get(c.test_index)
-        )
-        for c in constraints
+        abs(tables[MeasureTag.TERMINAL].get(test) - tables[MeasureTag.INITIAL].get(test))
+        for test in expand(equations)
     )
     assert res == pytest.approx(expected)
 
@@ -194,3 +207,54 @@ def test_constraint_residual_missing_index_names_it(u0, deg222):
         constraint_residual(generate_constraints(Linear(), deg222), tables)
     assert "occupation" in str(err.value)
     assert "y[" in str(err.value)
+
+
+def reference_equations(model, deg, canonical_only):
+    """Brute-force moment equations by the rules of the README's model table,
+    in the order of the moment vector."""
+    h, eps = deg.harmonic, model.epsilon
+    out = {}
+    for ell in range(deg.time + 1):
+        for k in range(deg.algebraic + 1):
+            for freqs in itertools.combinations_with_replacement(range(-h, h + 1), k):
+                test = MomentIndex(ell, freqs)
+                if canonical_only and tuple(sorted(-n for n in freqs)) < freqs:
+                    continue  # the conjugate of a kept test index
+                extra = []  # (rest of the multiset, two new modes) per model term
+                if isinstance(model, DistributedQuadratic) and eps != 0:
+                    for j, n in enumerate(freqs):
+                        if n == 0:
+                            signs = itertools.product((model.m1, -model.m1), (model.m2, -model.m2))
+                            extra += [(freqs[:j] + freqs[j + 1 :], pair) for pair in signs]
+                elif isinstance(model, LocalQuadratic) and eps != 0:
+                    for j, n in enumerate(freqs):
+                        pairs = [(m, n - m) for m in range(-h, h + 1) if abs(n - m) <= h]
+                        extra += [(freqs[:j] + freqs[j + 1 :], pair) for pair in pairs]
+                if extra and k + 1 > deg.algebraic:
+                    continue  # dropped, never clipped
+                terms = {(MeasureTag.TERMINAL, test): 1.0, (MeasureTag.INITIAL, test): -1.0}
+                occupation = [(MomentIndex(ell - 1, freqs), -ell)] if ell > 0 else []
+                occupation.append((test, sum(n * n for n in freqs)))
+                occupation += [(MomentIndex(ell, rest + pair), -eps) for rest, pair in extra]
+                for idx, coeff in occupation:
+                    key = (MeasureTag.OCCUPATION, idx)
+                    terms[key] = terms.get(key, 0.0) + coeff
+                out[test] = {key: c for key, c in terms.items() if c != 0}
+    return out
+
+
+@pytest.mark.parametrize("canonical_only", [False, True])
+@pytest.mark.parametrize(
+    "model",
+    [Linear(), DistributedQuadratic(0.125), LocalQuadratic(0.125), DistributedQuadratic(0.1, 2, 1)],
+    ids=repr,
+)
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2), (6, 2, 4)], ids=str)
+def test_equations_match_brute_force_reference(triple, model, canonical_only):
+    deg = TruncationDegrees(*triple)
+    equations = expand(generate_constraints(model, deg, canonical_only=canonical_only))
+    reference = reference_equations(model, deg, canonical_only)
+    assert list(equations) == list(reference)  # same test indices, same order
+    for test, terms in reference.items():
+        # exact coefficients, in the order of first occurrence
+        assert list(equations[test].items()) == list(terms.items()), test

@@ -11,10 +11,15 @@ from momentpde.indices import (
     canonicalize,
     enumerate_moment_vector,
     is_canonical,
-    is_self_conjugate,
     mode_counts,
 )
-from momentpde.models import DistributedQuadratic, Linear, MeasureTag, generate_constraints
+from momentpde.models import (
+    DistributedQuadratic,
+    InitialData,
+    Linear,
+    MeasureTag,
+    generate_constraints,
+)
 from momentpde.relaxation import (
     Slot,
     build_layout,
@@ -131,7 +136,8 @@ def random_tables(deg, seed):
         for idx in enumerate_moment_vector(deg):
             if is_canonical(idx):
                 re, im = rng.normal(size=2)
-                table.set(idx, complex(re, 0.0 if is_self_conjugate(idx) else im))
+                self_conjugate = tuple(sorted(-n for n in idx.freqs)) == idx.freqs
+                table.set(idx, complex(re, 0.0 if self_conjugate else im))
         tables[measure] = table
     return tables
 
@@ -237,27 +243,36 @@ def test_nonlinear_constraints_embed_consistently(u0, deg422):
 
 
 def test_constraint_without_its_pivot_is_rejected(u0, deg222, monkeypatch):
-    # Drop the occupation moment (ell - 1, freqs) that an ell > 0 row solves for.
-    constraints = generate_constraints(Linear(), deg222, canonical_only=True)
-    target = next(c for c in constraints if c.test_index.time_degree > 0)
-    ell = target.test_index.time_degree
+    # Drop the occupation moment (ell - 1, C) that an ell > 0 row solves for.
+    equations = generate_constraints(Linear(), deg222, canonical_only=True)
+    test = equations.eq
+    pivot_term = np.flatnonzero(
+        (equations.test_ell[test] > 0)
+        & (equations.ell == equations.test_ell[test] - 1)
+        & (equations.counts == equations.test_counts[test]).all(axis=1)
+    )[0]
+    keep = np.arange(len(test)) != pivot_term
     stripped = replace(
-        target, terms=tuple(t for t in target.terms if t[2].time_degree != ell - 1)
+        equations,
+        eq=test[keep],
+        coeff=equations.coeff[keep],
+        ell=equations.ell[keep],
+        counts=equations.counts[keep],
     )
-    patched = [stripped if c is target else c for c in constraints]
-    monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: patched)
+    monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: stripped)
     with pytest.raises(ValueError, match="no pivot slot"):
         build_problem(Linear(), deg222, u0)
 
 
-def test_inconsistent_constant_constraint_is_rejected(u0, deg222, monkeypatch):
-    # Keep only the initial term of the constraint of y[0; -1]: 0 = u0[-1] = 1.
-    constraints = generate_constraints(Linear(), deg222, canonical_only=True)
-    target = next(c for c in constraints if c.test_index == MomentIndex(0, (-1,)))
-    stripped = replace(
-        target, terms=tuple(t for t in target.terms if t[1] is MeasureTag.INITIAL)
-    )
-    patched = [stripped if c is target else c for c in constraints]
-    monkeypatch.setattr(relaxation, "generate_constraints", lambda *a, **k: patched)
+class TwistedData(InitialData):
+    """Default data whose product over the self-conjugate (-1, 1) gains an
+    imaginary part, which no moment of that equation can balance."""
+
+    def product(self, freqs):
+        return super().product(freqs) + (1j if freqs == (-1, 1) else 0)
+
+
+def test_inconsistent_constant_constraint_is_rejected(deg222):
+    # The imaginary row of the test index y[0; -1, 1] is empty: 0 = 1.
     with pytest.raises(ValueError, match="inconsistent constant constraint"):
-        build_problem(Linear(), deg222, u0)
+        build_problem(Linear(), deg222, TwistedData.default())
