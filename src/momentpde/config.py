@@ -124,7 +124,7 @@ def parse_config(raw: dict) -> RunConfig:
             isinstance(r, list) and len(r) == 3 and _is_int(r[0]) and all(map(_is_number, r[1:]))
             for r in rows
         ):
-            _fail("'initial' must be a list of [mode, re, im] triples, integer modes, numeric parts")
+            _fail("'initial' must be [mode, re, im] triples with integer modes and numeric parts")
         try:
             cfg.initial = InitialData({n: complex(re, im) for n, re, im in rows})
         except ValueError as exc:

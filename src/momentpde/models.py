@@ -33,6 +33,7 @@ from .indices import (
     count_freqs,
     enumerate_moment_vector,
     mode_counts,
+    moment_keys,
 )
 from .tables import MissingMomentError, MomentTable
 
@@ -225,19 +226,24 @@ def constraint_residual(
 ) -> float:
     """Max absolute violation of the equations by the given moment tables."""
 
-    def values(measure: MeasureTag, ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        table = tables[measure]
-        freqs = count_freqs(counts, equations.harmonic)
-        try:
-            return np.array(
-                [table.get(MomentIndex(e, f)) for e, f in zip(ell.tolist(), freqs)],
-                dtype=complex,
-            )
-        except MissingMomentError as exc:
-            raise MissingMomentError(exc.index, measure=measure.value) from None
+    def values(ell: np.ndarray, counts: np.ndarray, *measures: MeasureTag) -> list[np.ndarray]:
+        """Each measure's moments at (ell, counts), one table lookup per distinct moment."""
+        keys = moment_keys(ell, counts)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        freqs = count_freqs(counts[first], equations.harmonic)
+        indices = [MomentIndex(e, f) for e, f in zip(ell[first].tolist(), freqs)]
+        out = []
+        for measure in measures:
+            try:
+                found = [tables[measure].get(idx) for idx in indices]
+            except MissingMomentError as exc:
+                raise MissingMomentError(exc.index, measure=measure.value) from None
+            out.append(np.array(found, dtype=complex)[inverse])
+        return out
 
     test = (equations.test_ell, equations.test_counts)
-    residual = values(MeasureTag.TERMINAL, *test) - values(MeasureTag.INITIAL, *test)
-    occupation = values(MeasureTag.OCCUPATION, equations.ell, equations.counts)
+    terminal, initial = values(*test, MeasureTag.TERMINAL, MeasureTag.INITIAL)
+    (occupation,) = values(equations.ell, equations.counts, MeasureTag.OCCUPATION)
+    residual = terminal - initial
     np.add.at(residual, equations.eq, equations.coeff * occupation)
     return float(np.abs(residual).max(initial=0.0))

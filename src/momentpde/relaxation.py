@@ -315,11 +315,9 @@ def _equalities(
     # The recursion solves for y^1[0; C] at ell = 0, else for y[ell - 1; C].
     back = layout.lookup(MeasureTag.OCCUPATION, np.maximum(test_ell - 1, 0), test_counts)
     pivots = np.where(test_ell > 0, back[:2], terminal[:2]).T.ravel()
-    held = np.flatnonzero(pivots >= 0)
-    at_pivot = np.zeros(2 * m)
-    at_pivot[held] = np.asarray(eq[held, pivots[held]]).ravel()
+    at_pivot = np.asarray(eq[np.arange(2 * m), np.maximum(pivots, 0)]).ravel()
 
-    no_pivot = nonempty & (at_pivot == 0)
+    no_pivot = nonempty & ((pivots < 0) | (at_pivot == 0))
     inconsistent = ~nonempty & (np.abs(rhs) > 1e-9)
     bad = np.flatnonzero(no_pivot | inconsistent)
     if len(bad):

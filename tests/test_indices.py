@@ -25,6 +25,7 @@ from momentpde.relaxation import MOMENT, BlockSpec, block_specs
 def negated(idx):
     return MomentIndex(idx.time_degree, tuple(-n for n in idx.freqs))
 
+
 # (degrees) -> (moment vector size, matrix size)
 SIZE_TABLE = {
     (2, 2, 2): (63, 12),
