@@ -14,7 +14,7 @@ from .analytic import (
     i_ell,
     i_ell_closed_form,
 )
-from .compare import matching_percentages, relative_error, relative_errors
+from .compare import matching_percentages, relative_error
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .galerkin import (
     Trajectory,

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .indices import MomentIndex, TruncationDegrees, enumerate_moment_vector
-from .models import InitialData, MeasureTag, initial_moment
+from .models import InitialData, MeasureTag, initial_table
 from .tables import MomentTable
 
 _nodes, _weights = np.polynomial.legendre.leggauss(64)
@@ -63,9 +63,7 @@ def analytic_tables(
     """Initial/terminal/occupation tables over the whole truncation."""
     indices = enumerate_moment_vector(deg)
     return {
-        MeasureTag.INITIAL: MomentTable.from_function(
-            lambda idx: initial_moment(u0, idx), indices
-        ),
+        MeasureTag.INITIAL: initial_table(u0, deg),
         MeasureTag.TERMINAL: MomentTable.from_function(
             lambda idx: analytic_terminal_moment(u0, idx), indices
         ),

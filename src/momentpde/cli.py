@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .analytic import analytic_tables
-from .compare import DEFAULT_THRESHOLDS, matching_percentages
+from .compare import matching_percentages
 from .config import ConfigError, RunConfig, load_config
 from .galerkin import oracle_tables
 from .indices import TruncationDegrees, count_matrix_basis, count_moment_vector
@@ -26,8 +26,8 @@ from .solver import SolveReport, solve
 from .tables import (
     MissingMomentError,
     MomentTable,
-    format_freqs,
     read_table_csv,
+    table_rows,
     write_table_csv,
 )
 
@@ -81,16 +81,7 @@ def _write_pseudomoment_csv(
         writer = csv.writer(f)
         writer.writerow(["measure", "ell", "freqs", "re", "im"])
         for measure in (MeasureTag.INITIAL, MeasureTag.TERMINAL, MeasureTag.OCCUPATION):
-            for idx, value in tables[measure].items():
-                writer.writerow(
-                    [
-                        measure.value,
-                        idx.time_degree,
-                        format_freqs(idx.freqs),
-                        repr(value.real),
-                        repr(value.imag),
-                    ]
-                )
+            writer.writerows([measure.value, *row] for row in table_rows(tables[measure]))
 
 
 def _report_payload(
@@ -107,6 +98,22 @@ def _report_payload(
     }
 
 
+def _output_dir(args: argparse.Namespace, cfg: RunConfig) -> Path:
+    """--output-dir if given, else the config's output_dir; created if missing."""
+    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _oracle_tables(cfg: RunConfig, which: str) -> dict[MeasureTag, MomentTable]:
+    """The closed-form ("analytic") or Fourier-Galerkin ("galerkin") tables."""
+    if which == "analytic":
+        return analytic_tables(cfg.initial, cfg.degrees)
+    return oracle_tables(
+        cfg.model, cfg.initial, cfg.degrees, step=cfg.oracle.step, cutoff=cfg.oracle.cutoff
+    )
+
+
 def _solve_config(cfg: RunConfig):
     problem = build_problem(cfg.model, cfg.degrees, cfg.initial)
     start = time.perf_counter()
@@ -116,8 +123,7 @@ def _solve_config(cfg: RunConfig):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     problem, x, report, seconds = _solve_config(cfg)
     _write_pseudomoment_csv(out_dir / "pseudomoments.csv", extract_pseudomoments(problem, x))
     payload = _report_payload(cfg, problem, report, seconds)
@@ -133,17 +139,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _reference_table(cfg: RunConfig, reference: str) -> MomentTable:
-    if reference == "analytic":
-        return analytic_tables(cfg.initial, cfg.degrees)[MeasureTag.OCCUPATION]
-    if reference == "galerkin":
-        tables = oracle_tables(
-            cfg.model,
-            cfg.initial,
-            cfg.degrees,
-            step=cfg.oracle.step,
-            cutoff=cfg.galerkin_cutoff(),
-        )
-        return tables[MeasureTag.OCCUPATION]
+    # The analytic reference is the linear flow whatever the model: it grades
+    # small-epsilon solves of the nonlinear models too.
+    if reference in ("analytic", "galerkin"):
+        return _oracle_tables(cfg, reference)[MeasureTag.OCCUPATION]
     path = Path(reference)
     if not path.exists():
         raise ConfigError(
@@ -154,13 +153,12 @@ def _reference_table(cfg: RunConfig, reference: str) -> MomentTable:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     reference = _reference_table(cfg, args.reference)
     problem, x, report, seconds = _solve_config(cfg)
     computed = extract_pseudomoments(problem, x)[MeasureTag.OCCUPATION]
     try:
-        rows = matching_percentages(computed, reference, DEFAULT_THRESHOLDS)
+        rows = matching_percentages(computed, reference)
     except MissingMomentError as exc:
         raise ConfigError(str(exc)) from None
     with open(out_dir / "accuracy.csv", "w", newline="") as f:
@@ -177,23 +175,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.which == "analytic":
-        if not isinstance(cfg.model, Linear) and cfg.model.epsilon != 0:
-            raise ConfigError(
-                "analytic oracle exists only for the linear heat flow (epsilon = 0)"
-            )
-        tables = analytic_tables(cfg.initial, cfg.degrees)
-    else:
-        tables = oracle_tables(
-            cfg.model,
-            cfg.initial,
-            cfg.degrees,
-            step=cfg.oracle.step,
-            cutoff=cfg.galerkin_cutoff(),
-        )
-    for measure, table in tables.items():
+    out_dir = _output_dir(args, cfg)
+    linear = isinstance(cfg.model, Linear) or cfg.model.epsilon == 0
+    if args.which == "analytic" and not linear:
+        raise ConfigError("analytic oracle exists only for the linear heat flow (epsilon = 0)")
+    for measure, table in _oracle_tables(cfg, args.which).items():
         path = out_dir / f"{args.which}_{measure.value}.csv"
         write_table_csv(table, path)
         print(f"wrote {path}")
@@ -213,8 +199,7 @@ def cmd_export_sdpa(args: argparse.Namespace) -> int:
 
 def cmd_import_solution(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     problem = build_problem(cfg.model, cfg.degrees, cfg.initial)
     try:
         x = import_solution(args.solution, problem)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ class ConfigError(Exception):
 @dataclass
 class OracleSettings:
     step: float = 1e-3
-    cutoff: int | None = None  # default: twice the harmonic degree
+    cutoff: int | None = None  # None: oracle_tables' default, 2 * harmonic
 
 
 @dataclass
@@ -37,11 +38,6 @@ class RunConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
     oracle: OracleSettings = field(default_factory=OracleSettings)
     output_dir: Path = Path("out")
-
-    def galerkin_cutoff(self) -> int:
-        if self.oracle.cutoff is not None:
-            return self.oracle.cutoff
-        return max(2 * self.degrees.harmonic, self.initial.max_mode, 1)
 
     def describe_model(self) -> dict:
         out: dict = {"variant": _VARIANT_NAMES[type(self.model)]}
@@ -74,7 +70,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json parses the literals NaN and Infinity; no config number may be either
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _parse_model(raw: dict) -> HeatModel:
@@ -86,7 +83,7 @@ def _parse_model(raw: dict) -> HeatModel:
     variant = raw.get("variant", "linear")
     epsilon = raw.get("epsilon", 0.0)
     if not _is_number(epsilon):
-        _fail("'epsilon' must be a number")
+        _fail("'epsilon' must be a finite number")
     if variant == "linear":
         if epsilon != 0:
             _fail("the linear model takes no epsilon (use 'distributed' or 'local')")
@@ -156,8 +153,8 @@ def parse_config(raw: dict) -> RunConfig:
         sub = raw["oracle"]
         if not isinstance(sub, dict) or set(sub) - _ORACLE_KEYS:
             _fail("'oracle' accepts only the keys 'step' and 'cutoff'")
-        if not _is_number(sub.get("step", 0.0)):
-            _fail("'step' must be a number")
+        if "step" in sub and not (_is_number(sub["step"]) and sub["step"] > 0):
+            _fail("'step' must be a positive finite number")
         if sub.get("cutoff") is not None and not _is_int(sub["cutoff"]):
             _fail("'cutoff' must be null or an integer")
         cfg.oracle = OracleSettings(**sub)

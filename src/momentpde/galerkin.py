@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .indices import (
     TruncationDegrees,
@@ -25,7 +24,7 @@ from .models import (
     InitialData,
     LocalQuadratic,
     MeasureTag,
-    initial_moment,
+    initial_table,
 )
 from .tables import MomentTable
 
@@ -72,6 +71,8 @@ def integrate(
         raise ValueError(
             f"initial data has mode {u0.max_mode} beyond cutoff {cutoff}"
         )
+    if not step > 0:
+        raise ValueError(f"step {step} must be positive")
     num_steps = round(1.0 / step)
     if num_steps < 1 or abs(num_steps * step - 1.0) > 1e-12:
         raise ValueError(f"step {step} does not divide the unit time interval")
@@ -111,6 +112,10 @@ def trajectory_moments(
     Occupation moments integrate t^ell times the mode product with composite
     Simpson quadrature; terminal moments read the product off the final state.
     """
+    # Imported here, not at module level: scipy.integrate is slow to load and
+    # large, and only this function needs it; `import momentpde` stays lean.
+    from scipy.integrate import simpson
+
     if deg.harmonic > trajectory.cutoff:
         raise ValueError(
             f"harmonic degree {deg.harmonic} exceeds trajectory cutoff "
@@ -151,16 +156,18 @@ def oracle_tables(
     step: float = 1e-3,
     cutoff: int | None = None,
 ) -> dict[MeasureTag, MomentTable]:
-    """Integrate the model and assemble all three moment tables."""
+    """Integrate the model and assemble all three moment tables.
+
+    The default cutoff is twice the harmonic degree, so the oracle carries the
+    modes that the truncated moment equations drop and exposes, rather than
+    hides, their truncation error.
+    """
     if cutoff is None:
-        cutoff = max(deg.harmonic, u0.max_mode, 1)
+        cutoff = max(2 * deg.harmonic, u0.max_mode, 1)
     trajectory = integrate(model, u0, step=step, cutoff=cutoff)
     occupation, terminal = trajectory_moments(trajectory, deg)
-    initial = MomentTable.from_function(
-        lambda idx: initial_moment(u0, idx), enumerate_moment_vector(deg)
-    )
     return {
-        MeasureTag.INITIAL: initial,
+        MeasureTag.INITIAL: initial_table(u0, deg),
         MeasureTag.TERMINAL: terminal,
         MeasureTag.OCCUPATION: occupation,
     }

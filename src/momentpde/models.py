@@ -20,6 +20,7 @@ only the occupation terms are stored, so there is no right-hand side.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Union
@@ -87,6 +88,8 @@ class InitialData:
     def __post_init__(self) -> None:
         self.coeffs = {n: complex(v) for n, v in self.coeffs.items() if v != 0}
         for n, v in self.coeffs.items():
+            if not cmath.isfinite(v):
+                raise ValueError(f"initial coefficient at mode {n} is not finite: {v}")
             mirror = self.coeffs.get(-n, 0j)
             if abs(mirror - v.conjugate()) > 1e-12 * max(1.0, abs(v)):
                 raise ValueError(
@@ -119,6 +122,13 @@ class InitialData:
 def initial_moment(u0: InitialData, idx: MomentIndex) -> complex:
     """Moment of the initial Dirac: zero for ell > 0, else the coefficient product."""
     return 0j if idx.time_degree > 0 else u0.product(idx.freqs)
+
+
+def initial_table(u0: InitialData, deg: TruncationDegrees) -> MomentTable:
+    """Table of the initial Dirac over the whole truncation."""
+    return MomentTable.from_function(
+        lambda idx: initial_moment(u0, idx), enumerate_moment_vector(deg)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,8 +53,8 @@ class SolverSettings:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not isinstance(self.abs_tol, (int, float)) or isinstance(self.abs_tol, bool):
             raise ValueError(f"abs_tol must be a number, got {self.abs_tol!r}")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < float("inf"):
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
 
 
 @dataclass

@@ -69,10 +69,6 @@ class MomentTable:
         return table
 
 
-def format_freqs(freqs: tuple[int, ...]) -> str:
-    return "|".join(str(n) for n in freqs)
-
-
 def parse_freqs(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -80,15 +76,18 @@ def parse_freqs(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split("|"))
 
 
+def table_rows(table: MomentTable) -> Iterator[list]:
+    """CSV rows [ell, "n1|n2|...", re, im] of the canonical entries."""
+    for idx, value in table.items():
+        freqs = "|".join(str(n) for n in idx.freqs)
+        yield [idx.time_degree, freqs, repr(value.real), repr(value.imag)]
+
+
 def write_table_csv(table: MomentTable, path: str | Path) -> None:
-    """Dump canonical entries as rows (ell, "n1|n2|...", re, im)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["ell", "freqs", "re", "im"])
-        for idx, value in table.items():
-            writer.writerow(
-                [idx.time_degree, format_freqs(idx.freqs), repr(value.real), repr(value.imag)]
-            )
+        writer.writerows(table_rows(table))
 
 
 def read_table_csv(path: str | Path) -> MomentTable:

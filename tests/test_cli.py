@@ -54,10 +54,23 @@ def test_config_defaults():
     assert isinstance(cfg.model, Linear)
     assert cfg.degrees.as_tuple() == (4, 2, 2)
     assert cfg.initial.coeff(-1) == 1 and cfg.initial.coeff(0) == 1
-    assert cfg.galerkin_cutoff() == 4  # twice the harmonic degree
+    assert cfg.oracle.cutoff is None  # oracle_tables' default, twice the harmonic degree
 
 
-def test_config_validation_errors():
+NONFINITE_OR_ZERO_STEP = (
+    ('{"solver": {"abs_tol": NaN}}', "abs_tol"),
+    ('{"solver": {"abs_tol": Infinity}}', "abs_tol"),
+    ('{"oracle": {"step": NaN}}', "step"),
+    ('{"oracle": {"step": 0}}', "step"),
+    ('{"model": {"variant": "local", "epsilon": Infinity}}', "epsilon"),
+    ('{"model": {"variant": "local", "epsilon": NaN}}', "epsilon"),
+    ('{"model": {"variant": "distributed", "epsilon": NaN}}', "epsilon"),
+    ('{"initial": [[0, NaN, 0]]}', "numeric parts"),
+    ('{"initial": [[1, Infinity, 0], [-1, Infinity, 0]]}', "numeric parts"),
+)
+
+
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_config({"model": {"variant": "nope"}})
     with pytest.raises(ConfigError):
@@ -95,6 +108,15 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(bad)
+    # json parses NaN and Infinity; no config number may be either, and the
+    # Galerkin step must be positive.  The CLI exits 2 on each.
+    path = tmp_path / "config.json"
+    for text, match in NONFINITE_OR_ZERO_STEP:
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.loads(text))
+        path.write_text(text)
+        argv = ["oracle", "--config", str(path), "--which", "galerkin"]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
     with pytest.raises(ConfigError):
         # forcing modes beyond the harmonic degree
         parse_config(

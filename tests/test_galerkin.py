@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import momentpde
 
 from momentpde.analytic import analytic_occupation_moment, analytic_terminal_moment
 from momentpde.galerkin import (
@@ -23,6 +29,16 @@ from momentpde.models import (
 def derivatives(model, values):
     """Mode derivatives of u_n, n = -2..2, given as a list indexed n + 2."""
     return _mode_derivatives(model, np.array(values, dtype=complex), 2)
+
+
+def test_package_import_defers_scipy_integrate():
+    # Only trajectory_moments needs scipy.integrate; loading it with the
+    # package would make every import of momentpde slower and larger.
+    src = str(Path(momentpde.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, momentpde; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_rhs_linear_mode_decay():
@@ -83,6 +99,9 @@ def test_integrate_rejects_bad_step(u0):
         integrate(Linear(), u0, step=3e-4)
     with pytest.raises(ValueError):
         integrate(Linear(), u0, step=1e-2, cutoff=0)
+    for step in (0, -1e-2):
+        with pytest.raises(ValueError, match="must be positive"):
+            integrate(Linear(), u0, step=step)
 
 
 def test_integrate_reports_blowup(u0):
@@ -118,6 +137,18 @@ def test_moment_extraction_requires_enough_modes(u0):
     traj = integrate(Linear(), u0, step=1e-2, cutoff=1)
     with pytest.raises(ValueError):
         trajectory_moments(traj, TruncationDegrees(2, 2, 2))
+
+
+def test_oracle_default_cutoff_is_twice_the_harmonic_degree(u0, deg222):
+    model = LocalQuadratic(0.01)
+    default = oracle_tables(model, u0, deg222, step=1e-2)
+    explicit = oracle_tables(
+        model, u0, deg222, step=1e-2, cutoff=max(2 * deg222.harmonic, u0.max_mode, 1)
+    )
+    for measure, table in default.items():  # repr tells every bit of a float
+        assert [(i, repr(v)) for i, v in table.items()] == [
+            (i, repr(v)) for i, v in explicit[measure].items()
+        ]
 
 
 def test_galerkin_tables_satisfy_model_constraints(u0, deg422):

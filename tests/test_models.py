@@ -29,6 +29,9 @@ def test_initial_data_validation():
         InitialData({1: 1.0})  # missing conjugate partner
     with pytest.raises(ValueError):
         InitialData({1: 1 + 1j, -1: 1 + 1j})  # not conjugate-symmetric
+    for bad in ({0: float("nan")}, {1: float("inf"), -1: float("inf")}):
+        with pytest.raises(ValueError, match="not finite"):
+            InitialData(bad)
     data = InitialData({1: 1 + 2j, -1: 1 - 2j, 0: 3.0})
     assert data.coeff(1) == 1 + 2j
     assert data.coeff(5) == 0

@@ -110,8 +110,9 @@ def test_solver_arithmetic_is_pinned(u0, model, triple, max_iters, status, itera
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(abs_tol=0)
+    for bad in (0, -1e-7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
+            SolverSettings(abs_tol=bad)
     for bad in (True, "1e-7"):
         with pytest.raises(ValueError, match="abs_tol must be a number"):
             SolverSettings(abs_tol=bad)
