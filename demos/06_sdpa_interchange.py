@@ -45,7 +45,13 @@ print("header:", head[:4])
 print(f"entry lines: {len(head) - 4}")
 
 data = read_sdpa(dat)
-assert data == to_sdpa_data(problem)
+written = to_sdpa_data(problem)
+assert (data.num_constraints, data.block_sizes, data.rhs) == (
+    written.num_constraints,
+    written.block_sizes,
+    written.rhs,
+)
+assert np.array_equal(data.entries, written.entries)
 print("parse-back is structurally identical to the writer's view")
 
 reconstructed = from_sdpa_data(data)

@@ -6,11 +6,15 @@ variables, line 4 carries the objective coefficients, and each PSD block
 stores its coefficient matrices F_i (matno i >= 1) and F_0 = -d_b.  The
 equality pairs (E x - f >= 0, f - E x >= 0) are an ordinary diagonal block,
 A = [E; -E] and d = [-f; f], written by the same block-to-entries rule.
+The entries stay one float64 array of rows (matno, blkno, i, j, value) from
+assembly to file and back; the writer limits the indices to 32 bits, so the
+array holds them exactly.
 Values are rendered with 17 significant digits so doubles round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,43 +23,45 @@ import scipy.sparse as sp
 
 from .relaxation import Block, ConicProblem
 
-Entry = tuple[int, int, int, int, float]  # matno, blkno, i, j, value (1-based, i <= j)
-
-_CHUNK = 65536  # entries turned into tuples at a time
+_CHUNK = 65536  # entry rows formatted at a time
 
 
 @dataclass
 class SdpaData:
-    """Structural content of one .dat-s file."""
+    """Structural content of one .dat-s file.
+
+    ``entries`` is an (N, 5) float64 array of rows (matno, blkno, i, j,
+    value), 1-based with i <= j and integer-valued indices, sorted by matno,
+    blkno, i, j and then value.
+    """
 
     num_constraints: int
     block_sizes: list[int]  # negative size marks a diagonal block
     rhs: list[float]
-    entries: list[Entry]  # sorted by (matno, blkno, i, j)
+    entries: np.ndarray
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _block_entries(block: Block, blkno: int) -> tuple[np.ndarray, ...]:
-    """Entry columns (matno, blkno, i, j, value), 1-based, of one block: F_0 =
-    -const is matrix 0, the coefficients of variable k are matrix k + 1, full
-    blocks keep the upper triangle and zeros are dropped."""
+def _sorted(entries: np.ndarray) -> np.ndarray:
+    return entries[np.lexsort(entries.T[::-1])]  # by matno, blkno, i, j, then value
+
+
+def _block_entries(block: Block, blkno: int) -> np.ndarray:
+    """Entry rows of one block: F_0 = -const is matrix 0, the coefficients of
+    variable k are matrix k + 1, full blocks keep the upper triangle and zeros
+    are dropped."""
     coo = block.coeffs.tocoo()
     nonzero = np.flatnonzero(block.const)
     pos = np.concatenate([nonzero, coo.row])
-    matno = np.concatenate([np.zeros(len(nonzero), np.int32), coo.col + 1], dtype=np.int32)
+    matno = np.concatenate([np.zeros(len(nonzero)), coo.col + 1])
     value = np.concatenate([-block.const[nonzero], coo.data])
     i, j = (pos, pos) if block.diagonal else np.divmod(pos, block.size)
     keep = (value != 0.0) & (i <= j)
-    return (
-        matno[keep],
-        np.full(np.count_nonzero(keep), blkno, np.int32),
-        (i[keep] + 1).astype(np.int32),
-        (j[keep] + 1).astype(np.int32),
-        value[keep],
-    )
+    matno, i, j, value = matno[keep], i[keep] + 1, j[keep] + 1, value[keep]
+    return np.column_stack([matno, np.full(len(value), blkno), i, j, value])
 
 
 def to_sdpa_data(problem: ConicProblem) -> SdpaData:
@@ -74,18 +80,12 @@ def to_sdpa_data(problem: ConicProblem) -> SdpaData:
     sizes = [-b.size if b.diagonal else b.size for b in blocks]
     if max([problem.num_vars + 1, *map(abs, sizes)]) > np.iinfo(np.int32).max:
         raise ValueError("too many variables or too large a block for 32-bit entry indices")
-    columns = [_block_entries(b, k) for k, b in enumerate(blocks, start=1)]
-    columns = [np.concatenate(c) for c in zip(*columns)] if blocks else [np.zeros(0)] * 5
-    order = np.lexsort(columns[::-1])  # by matno, blkno, i, j, then value
-    columns = [c[order] for c in columns]
-    entries: list[Entry] = []
-    for k in range(0, len(order), _CHUNK):
-        entries.extend(zip(*(c[k : k + _CHUNK].tolist() for c in columns)))
+    rows = (_block_entries(b, k) for k, b in enumerate(blocks, start=1))
     return SdpaData(
         num_constraints=problem.num_vars,
         block_sizes=sizes,
         rhs=[float(v) for v in problem.objective],
-        entries=entries,
+        entries=_sorted(np.concatenate([np.zeros((0, 5)), *rows])),
     )
 
 
@@ -95,8 +95,11 @@ def write_sdpa_data(data: SdpaData, path: str | Path) -> None:
         f.write(f"{len(data.block_sizes)}\n")
         f.write(" ".join(str(s) for s in data.block_sizes) + "\n")
         f.write(" ".join(_fmt(v) for v in data.rhs) + "\n")
-        for matno, blkno, i, j, value in data.entries:
-            f.write(f"{matno} {blkno} {i} {j} {_fmt(value)}\n")
+        line = "{} {} {} {} {:.17g}\n".format  # matno blkno i j value
+        for k in range(0, len(data.entries), _CHUNK):
+            chunk = data.entries[k : k + _CHUNK]
+            ints = chunk[:, :4].astype(np.int64).T.tolist()
+            f.write("".join(map(line, *ints, chunk[:, 4].tolist())))
 
 
 def export_sdpa(problem: ConicProblem, path: str | Path) -> None:
@@ -113,7 +116,7 @@ def _tokenize(line: str) -> list[str]:
 def read_sdpa(path: str | Path) -> SdpaData:
     """Parse a .dat-s file back into its structural content."""
     header: list[list[str]] = []
-    entries: list[Entry] = []
+    flat = array("d")  # entry rows, back to back
     with open(path) as f:
         for raw in f:
             line = raw.strip()
@@ -123,10 +126,11 @@ def read_sdpa(path: str | Path) -> SdpaData:
             if len(header) < 4:
                 header.append(tokens)
                 continue
-            if len(tokens) != 5:
-                raise ValueError(f"{path}: malformed entry line {raw!r}")
-            matno, blkno, i, j = (int(t) for t in tokens[:4])
-            entries.append((matno, blkno, i, j, float(tokens[4])))
+            try:
+                matno, blkno, i, j, value = tokens
+                flat.extend((int(matno), int(blkno), int(i), int(j), float(value)))
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}: malformed entry line {raw!r}") from None
     if len(header) < 4:
         raise ValueError(f"{path}: incomplete SDPA header")
     m = int(header[0][0])
@@ -139,21 +143,25 @@ def read_sdpa(path: str | Path) -> SdpaData:
     rhs = [float(t) for t in header[3]]
     if len(rhs) != m:
         raise ValueError(f"{path}: RHS line has {len(rhs)} values, expected {m}")
-    entries.sort()
-    return SdpaData(m, sizes, rhs, entries)
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"{path}: RHS line has a non-finite value")
+    entries = np.frombuffer(flat).reshape(-1, 5)
+    if (e := _first(entries, ~np.isfinite(entries[:, 4]))) is not None:
+        raise ValueError(f"{path}: entry {e} has a non-finite value")
+    return SdpaData(m, sizes, rhs, _sorted(entries))
 
 
-def _first(entries: list[Entry], bad: np.ndarray) -> Entry | None:
-    hits = np.flatnonzero(bad)
-    return entries[hits[0]] if len(hits) else None
+def _first(entries: np.ndarray, bad: np.ndarray) -> tuple | None:
+    """The first entry row where ``bad`` holds, indices as ints."""
+    row = entries[np.flatnonzero(bad)[:1]].tolist()
+    return (*map(int, row[0][:4]), row[0][4]) if row else None
 
 
 def from_sdpa_data(data: SdpaData) -> ConicProblem:
     """Rebuild a conic problem from file data (equalities stay inequality pairs)."""
     n, nblocks = data.num_constraints, len(data.block_sizes)
-    table = np.array(data.entries, dtype=float).reshape(-1, 5)
-    matno, blkno, i, j = table[:, :4].T.astype(np.int64)
-    value = table[:, 4]
+    matno, blkno, i, j = data.entries[:, :4].T.astype(np.int64)
+    value = data.entries[:, 4]
     if (e := _first(data.entries, (blkno < 1) | (blkno > nblocks))) is not None:
         raise ValueError(f"entry {e} names block {e[1]}, but the problem has {nblocks} blocks")
     signed = np.array(data.block_sizes, dtype=np.int64)[blkno - 1]
@@ -216,7 +224,10 @@ def read_solution(path: str | Path) -> np.ndarray:
             line = raw.strip()
             if line:
                 values.append(float(line))
-    return np.array(values)
+    x = np.array(values)
+    if not np.isfinite(x).all():
+        raise ValueError(f"solution file {path} has a non-finite value")
+    return x
 
 
 def import_solution(path: str | Path, problem: ConicProblem) -> np.ndarray:

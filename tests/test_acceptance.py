@@ -62,6 +62,7 @@ from momentpde.relaxation import (
 from momentpde.sdpa import export_sdpa, read_sdpa, to_sdpa_data
 from momentpde.solver import solve
 
+from test_sdpa import same_data
 from test_solver import min_trace_completion_problem, rank_one_forcing_problem
 
 SIZE_TABLE = {
@@ -251,7 +252,7 @@ def test_property_suites(tmp_path):
     problem = build_problem(Linear(), TruncationDegrees(2, 2, 2), U0)
     path = tmp_path / "roundtrip.dat-s"
     export_sdpa(problem, path)
-    sdpa_ok = read_sdpa(path) == to_sdpa_data(problem)
+    sdpa_ok = same_data(read_sdpa(path), to_sdpa_data(problem))
 
     # trivial semidefinite problems solved exactly
     x1, r1 = solve(min_trace_completion_problem())

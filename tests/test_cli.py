@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from momentpde.cli import main
@@ -215,6 +216,19 @@ def test_oracle_galerkin(tmp_path):
         assert len(table) > 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--which", "galerkin"], ["compare", "--reference", "galerkin"]]
+)
+def test_galerkin_blow_up_is_a_named_error(tmp_path, capsys, argv):
+    # exit 1 means "not optimal"; a Galerkin state that leaves the finite
+    # range is a bad configuration, reported like one
+    cfg = write_config(
+        tmp_path, model={"variant": "local", "epsilon": 5000}, output_dir=str(tmp_path / "o")
+    )
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "error: Galerkin state left the finite range" in capsys.readouterr().err
+
+
 def test_oracle_analytic_refuses_nonzero_epsilon(tmp_path):
     cfg = write_config(
         tmp_path, model={"variant": "local", "epsilon": 0.5}, output_dir=str(tmp_path / "o")
@@ -227,7 +241,7 @@ def test_oracle_analytic_refuses_nonzero_epsilon(tmp_path):
     assert main(["oracle", "--config", str(cfg0), "--which", "analytic"]) == 0
 
 
-def test_export_and_import_solution(tmp_path):
+def test_export_and_import_solution(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, output_dir=str(out))
     dat = tmp_path / "problem.dat-s"
@@ -250,3 +264,11 @@ def test_export_and_import_solution(tmp_path):
     assert main(
         ["import-solution", "--config", str(cfg), "--solution", str(sol)]
     ) == 2
+
+    # so is a non-finite value
+    for bad in (np.nan, np.inf):
+        write_solution(np.where(np.arange(len(x)) == 3, bad, x), sol)
+        assert main(
+            ["import-solution", "--config", str(cfg), "--solution", str(sol)]
+        ) == 2
+        assert "non-finite value" in capsys.readouterr().err

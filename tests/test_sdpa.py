@@ -24,11 +24,20 @@ from momentpde.solver import SolverSettings, solve
 from test_solver import MODELS, min_trace_completion_problem, rank_one_forcing_problem
 
 
+def same_data(a, b):
+    """Equal SDPA file data, entry rows compared as arrays."""
+    return (a.num_constraints, a.block_sizes, a.rhs) == (
+        b.num_constraints,
+        b.block_sizes,
+        b.rhs,
+    ) and np.array_equal(a.entries, b.entries)
+
+
 def test_trivial_problem_roundtrip(tmp_path):
     problem = min_trace_completion_problem()
     path = tmp_path / "trivial.dat-s"
     export_sdpa(problem, path)
-    assert read_sdpa(path) == to_sdpa_data(problem)
+    assert same_data(read_sdpa(path), to_sdpa_data(problem))
     lines = [l for l in path.read_text().splitlines() if l.strip()]
     # header: m, nblocks, sizes, objective vector; then entry quintuples
     assert lines[0] == "3"
@@ -42,10 +51,10 @@ def test_heat_problem_roundtrip(tmp_path, u0, deg222):
     path = tmp_path / "heat.dat-s"
     export_sdpa(problem, path)
     data = read_sdpa(path)
-    assert data == to_sdpa_data(problem)
+    assert same_data(data, to_sdpa_data(problem))
     assert data.num_constraints == problem.num_vars
     # upper-triangle convention
-    assert all(i <= j for _, _, i, j, _ in data.entries)
+    assert np.all(data.entries[:, 2] <= data.entries[:, 3])
     # the equality block is diagonal with paired signs
     assert data.block_sizes[-1] == -2 * problem.num_eq
 
@@ -58,8 +67,8 @@ def test_values_roundtrip_bit_exactly(tmp_path):
     export_sdpa(problem, path)
     data = read_sdpa(path)
     assert data.rhs[0] == 1.0 / 3.0
-    f0 = [e for e in data.entries if e[0] == 0 and e[2] == 1]
-    assert f0[0][4] == np.nextafter(1.0, 2.0)
+    f0 = data.entries[(data.entries[:, 0] == 0) & (data.entries[:, 2] == 1)]
+    assert f0[0, 4] == np.nextafter(1.0, 2.0)
 
 
 @pytest.mark.parametrize("factory", [min_trace_completion_problem, rank_one_forcing_problem])
@@ -139,7 +148,7 @@ def test_read_sdpa_tolerates_comments_and_braces(tmp_path):
     assert data.num_constraints == 2
     assert data.block_sizes == [2]
     assert data.rhs == [1.0, 0.5]
-    assert data.entries == [(1, 1, 1, 1, 1.0)]
+    assert np.array_equal(data.entries, [(1, 1, 1, 1, 1.0)])
 
 
 def test_read_sdpa_rejects_malformed(tmp_path):
@@ -147,9 +156,20 @@ def test_read_sdpa_rejects_malformed(tmp_path):
     path.write_text("2\n1\n2\n1.0 0.5\n1 1 1\n")
     with pytest.raises(ValueError, match="malformed"):
         read_sdpa(path)
+    path.write_text("2\n1\n2\n1.0 0.5\n1.5 1 1 1 1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.dat-s: malformed entry line '1\.5 1 1 1 1\.0\\n'"):
+        read_sdpa(path)
     path.write_text("2\n1\n")
     with pytest.raises(ValueError, match="incomplete"):
         read_sdpa(path)
+    for objective, entry, message in [
+        ("nan 0.5", "1 1 1 1 1.0", "RHS line has a non-finite value"),
+        ("1.0 0.5", "1 1 1 1 inf", r"entry \(1, 1, 1, 1, inf\) has a non-finite value"),
+        ("1.0 0.5", "1 1 1 1 nan", r"entry \(1, 1, 1, 1, nan\) has a non-finite value"),
+    ]:
+        path.write_text(f"2\n1\n2\n{objective}\n{entry}\n")
+        with pytest.raises(ValueError, match=rf"bad\.dat-s: {message}"):
+            read_sdpa(path)
 
 
 def test_out_of_range_block_is_rejected(tmp_path):
@@ -198,10 +218,40 @@ def test_file_data_roundtrips_through_reconstruction(tmp_path, factory):
     export_sdpa(factory(), path)
     data = read_sdpa(path)
     again = to_sdpa_data(from_sdpa_data(data))
-    assert again == data
-    assert all(
-        [type(v) for v in entry] == [int, int, int, int, float] for entry in again.entries
+    assert same_data(again, data)
+    for entries in (data.entries, again.entries):
+        assert entries.dtype == np.float64
+        assert entries.ndim == 2 and entries.shape[1] == 5
+        assert np.array_equal(entries[:, :4], np.round(entries[:, :4]))
+
+
+def test_reversed_file_reads_back_in_writer_order(tmp_path):
+    # An unsummed CSR duplicate puts two values at position (1, 1) of the
+    # full block; the writer orders them by value.  A file listing the entry
+    # lines in reverse order reads back to the writer's array, rows in order.
+    block = Block(
+        name="full",
+        size=2,
+        coeffs=sp.csr_matrix(
+            (np.array([3.0, -1.0, 2.0]), np.array([0, 0, 1]), np.array([0, 2, 2, 2, 3])),
+            shape=(4, 2),
+        ),
+        const=np.array([1.0, 0.0, 0.0, 1.0]),
     )
+    problem = ConicProblem(
+        num_vars=2,
+        blocks=[block],
+        eq_matrix=sp.csr_matrix((0, 2)),
+        eq_rhs=np.zeros(0),
+        objective=np.array([1.0, 1.0]),
+    )
+    expected = to_sdpa_data(problem)
+    assert np.array_equal(expected.entries[2:4], [(1, 1, 1, 1, -1.0), (1, 1, 1, 1, 3.0)])
+    path = tmp_path / "reversed.dat-s"
+    write_sdpa_data(expected, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + lines[:3:-1]) + "\n")
+    assert same_data(read_sdpa(path), expected)
 
 
 def test_hand_built_block_constants_and_stored_zeros():
@@ -240,7 +290,7 @@ def test_hand_built_block_constants_and_stored_zeros():
     assert data.num_constraints == 2
     assert data.block_sizes == [2, -3, -2]
     assert data.rhs == [1.0, 2.0]
-    assert data.entries == [
+    assert np.array_equal(data.entries, [
         (0, 1, 1, 1, -1.0),
         (0, 1, 1, 2, -0.5),
         (0, 2, 2, 2, 2.0),
@@ -254,7 +304,7 @@ def test_hand_built_block_constants_and_stored_zeros():
         (2, 2, 3, 3, -1.5),
         (2, 3, 1, 1, -1.0),
         (2, 3, 2, 2, 1.0),
-    ]
+    ])
 
 
 def test_read_solution_skips_blank_lines(tmp_path):
