@@ -162,6 +162,16 @@ def test_read_sdpa_rejects_malformed(tmp_path):
     path.write_text("2\n1\n")
     with pytest.raises(ValueError, match="incomplete"):
         read_sdpa(path)
+    for header, message in [
+        ("2.5\n1\n2\n1.0 0.5", r"malformed SDPA header: .*'2\.5'"),
+        ("2\n1\nx\n1.0 0.5", r"malformed SDPA header: .*'x'"),
+        ("2\n1\n0\n1.0 0.5", "block size line has a block of size 0"),
+        ("2\n1\n-0\n1.0 0.5", "block size line has a block of size 0"),
+        ("{}\n1\n2\n1.0 0.5", r"empty header line '\{\}\\n'"),
+    ]:
+        path.write_text(f"{header}\n1 1 1 1 1.0\n")
+        with pytest.raises(ValueError, match=rf"bad\.dat-s: {message}"):
+            read_sdpa(path)
     for objective, entry, message in [
         ("nan 0.5", "1 1 1 1 1.0", "RHS line has a non-finite value"),
         ("1.0 0.5", "1 1 1 1 inf", r"entry \(1, 1, 1, 1, inf\) has a non-finite value"),

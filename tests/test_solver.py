@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
+from momentpde import solver
 from momentpde.relaxation import Block, ConicProblem, build_problem
 from momentpde.solver import _PENALTY, SolverSettings, null_space, project_psd, solve
 
@@ -74,6 +75,56 @@ def test_psd_projection_idempotent_and_metric():
             g = rng.normal(size=(5, 5))
             psd_point = g @ g.T
             assert np.linalg.norm(mat - proj) <= np.linalg.norm(mat - psd_point) + 1e-12
+
+
+def clamp_reference(mat):
+    """The projection by the full spectrum, negative eigenvalues clamped."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+    return (v * np.maximum(w, 0.0)) @ v.T
+
+
+def projection_cases():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 24, 110):
+        g = rng.normal(size=(n, n))
+        yield pytest.param(0.5 * (g + g.T), id=f"random-{n}")
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    yield pytest.param((q * -rng.uniform(0.5, 2.0, 8)) @ q.T, id="negative-definite")
+    yield pytest.param((q * rng.uniform(0.5, 2.0, 8)) @ q.T, id="positive-definite")
+    yield pytest.param((q * np.array([3.0, 2.0, 1.0, 0.5, 0, 0, 0, 0])) @ q.T, id="psd-with-kernel")
+    a, b = rng.normal(size=(2, 6, 6))
+    a, b = a + a.T, b - b.T  # a Hermitian A + iB, embedded with a doubled spectrum
+    yield pytest.param(np.block([[a, -b], [b, a]]), id="embedded-hermitian")
+
+
+@pytest.mark.parametrize("mat", list(projection_cases()))
+def test_projection_matches_full_spectrum_clamp(mat):
+    proj = project_psd(mat)
+    assert np.abs(proj - clamp_reference(mat)).max() <= 1e-12 * np.linalg.norm(mat)
+    if np.linalg.eigvalsh(mat).max() < 0:
+        assert not proj.any()  # no positive pair: exactly the zero matrix
+
+
+def test_projection_falls_back_when_lapack_fails(monkeypatch):
+    def failing(a, **kwargs):
+        n = len(a)
+        return np.full(n, 7.0), np.ones((n, n)), n, np.zeros(2 * n, dtype=np.int32), 1
+
+    monkeypatch.setattr(solver, "_dsyevr", failing)
+    g = np.random.default_rng(5).normal(size=(24, 24))
+    mat = g + g.T
+    assert np.abs(project_psd(mat) - clamp_reference(mat)).max() <= 1e-12 * np.linalg.norm(mat)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e308], ids=["inf", "nan", "1e308"])
+def test_diverging_iterate_is_infeasible_suspect(capfd, value):
+    problem = min_trace_completion_problem()
+    problem.objective[1] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, report = solve(problem)
+    assert report.status == "infeasible_suspect"
+    out, err = capfd.readouterr()
+    assert "On entry to" not in out + err  # LAPACK saw no inf or NaN
 
 
 def test_combined_residual_monotone_after_burn_in():
