@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from momentpde import solver
 from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
-from momentpde import solver
 from momentpde.relaxation import Block, ConicProblem, build_problem
 from momentpde.solver import _PENALTY, SolverSettings, null_space, project_psd, solve
 
