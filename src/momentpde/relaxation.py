@@ -35,6 +35,11 @@ same lookup on the count rows of ``MomentEquations``.  The pivot of a row,
 the slot its recursion step solves for, comes from its test index (ell, C):
 the terminal moment (0, C) at ell = 0, else the occupation moment
 (ell - 1, C).
+
+``build_problem`` also records the dead-mode face, ``ConicProblem.zero_vars``:
+the moments that a certificate (see ``_dead_face``) shows to be zero on every
+feasible point.  The solver restricts the problem to it; the SDPA export and
+extraction see the whole problem.
 """
 
 from __future__ import annotations
@@ -174,6 +179,8 @@ class ConicProblem:
     layout: VariableLayout | None = None
     initial_table: MomentTable | None = None
     description: str = ""
+    # sorted variables that are zero on every feasible point (the face)
+    zero_vars: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self) -> None:
         if self.eq_matrix.shape != (len(self.eq_rhs), self.num_vars):
@@ -183,10 +190,31 @@ class ConicProblem:
         for block in self.blocks:
             if block.coeffs.shape != (block.vec_dim, self.num_vars):
                 raise ValueError(f"block {block.name} coefficient shape mismatch")
+            if block.size < 1 and not block.diagonal:
+                raise ValueError(f"block {block.name} has size {block.size}")
+        if not len(self.zero_vars):
+            return
+        zero = self.zero_vars
+        if zero[0] < 0 or zero[-1] >= self.num_vars or (np.diff(zero) <= 0).any():
+            raise ValueError("zero variables must be sorted, distinct and in range")
+        live, dropped = self.face()
+        if (self.eq_rhs[dropped] != 0).any():
+            raise ValueError("an equality row on zero variables only has a nonzero right-hand side")
+        if self.eq_pivots is not None and not live[self.eq_pivots[~dropped]].all():
+            raise ValueError("a kept equality row has its pivot among the zero variables")
 
     @property
     def num_eq(self) -> int:
         return len(self.eq_rhs)
+
+    def face(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the live variables and of the equality rows the face drops:
+        those whose every coefficient falls on a zero variable."""
+        live = np.ones(self.num_vars, dtype=bool)
+        live[self.zero_vars] = False
+        weight = abs(self.eq_matrix)
+        dropped = (weight @ (~live).astype(float) > 0) & (weight @ live.astype(float) == 0)
+        return live, dropped
 
 
 def hermitian_embedding(h: np.ndarray) -> np.ndarray:
@@ -332,6 +360,63 @@ def _equalities(
     return eq[nonempty], rhs[nonempty], pivots[nonempty]
 
 
+def _dead_face(
+    equations: MomentEquations,
+    specs: tuple[BlockSpec, ...],
+    blocks: list[Block],
+    u0: InitialData,
+    num_vars: int,
+) -> np.ndarray:
+    """Variables zero on every feasible point: the entries of the moment-block
+    rows certified zero because their monomial holds a dead mode, a mode k
+    with u_k(0) = 0.
+
+    Row (th, a) of a moment block has the diagonal entry y[2th; C] with
+    C = a + reversed(a), or y^1[0; C] in the terminal block.  Call the
+    equation of test index (ell, C) clean when every occupation term sits on
+    the count row C.  The initial moments of C vanish, as C holds k, so the
+    clean equations read y^1[0; C] - ell y[ell - 1; C] + c y[ell; C] = 0 with
+    c = sum n^2 over C.  Take c > 0.  At ell = 0 both terms are diagonal
+    entries of PSD blocks, so y^1[0; C] = y[0; C] = 0, and the equations at
+    ell = 1, 2, ... then zero y[ell; C] in turn.  A row is certified when the
+    clean equations reach the time degree of its diagonal, and a PSD block
+    with a zero diagonal entry has a zero row.  Rows of the mode 0 alone
+    (c = 0) are left alone: their chain stops one time degree short, and
+    their face would leave kept equality rows without their pivots.  The
+    localizer's rows are not certified here: their entries are differences
+    of moments of certified moment-block rows.
+    """
+    h = equations.harmonic
+    modes = np.arange(-h, h + 1)
+    dead = np.array([u0.coeff(k) == 0 for k in modes.tolist()])
+    off_row = (equations.counts != equations.test_counts[equations.eq]).any(axis=1)
+    clean = np.bincount(equations.eq[off_row], minlength=len(equations)) == 0
+    known = np.sort(moment_keys(equations.test_ell[clean], equations.test_counts[clean]))
+    zero = np.zeros(num_vars, dtype=bool)
+    for spec, block in zip(specs, blocks):
+        if spec.terms != MOMENT:
+            continue
+        th = np.array([b.time_degree for b in spec.basis], dtype=np.int64)
+        counts = mode_counts([b.freqs for b in spec.basis], h)
+        diagonal = counts + counts[:, ::-1]
+        # the last time degree whose clean equation the certificate needs;
+        # 0 in the terminal block, whose basis has th = 0
+        top = 2 * th
+        certified = (counts[:, dead] > 0).any(axis=1) & (diagonal @ modes**2 > 0)
+        for ell in range(int(top.max()) + 1):
+            query = moment_keys(np.full(len(th), ell), diagonal)
+            pos = np.minimum(np.searchsorted(known, query), len(known) - 1)
+            certified &= (known[pos] == query) | (ell > top)
+        # Embedded row r holds the moments of row r, in the CSR rows of its
+        # entries r * size .. (r + 1) * size - 1.
+        first = np.flatnonzero(certified) * block.size
+        start, stop = block.coeffs.indptr[first], block.coeffs.indptr[first + block.size]
+        width = stop - start
+        at = np.arange(width.sum()) + np.repeat(start - np.cumsum(width) + width, width)
+        zero[block.coeffs.indices[at]] = True
+    return np.flatnonzero(zero)
+
+
 MIN_TIME_DEGREE = 2
 MIN_ALGEBRAIC_DEGREE = 2
 
@@ -380,6 +465,7 @@ def build_problem(
         layout=layout,
         initial_table=initial_table,
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",
+        zero_vars=_dead_face(equations, specs, blocks, u0, n),
     )
 
 

@@ -1,9 +1,17 @@
 """Embedded first-order conic solver: operator splitting in the equality null space.
 
 The problem is min c.x subject to E x = f and (A_b x + d_b) in the PSD cone
-for every block b.  One sparse LU of the pivot columns E_B (one per equality
-row) eliminates the equalities once per solve: x = x0 + Z z with E x0 = f and
-sparse Z = [-E_B^-1 E_N; I].  A mirror variable S_b per block then alternates
+for every block b.  First, once per solve:
+
+  0. the problem is restricted to its face: the variables it certifies zero
+     (``ConicProblem.zero_vars``) are fixed at 0.0, and the equality rows and
+     block rows that hold nothing else are dropped, since a matrix with a
+     zero row is PSD exactly when the rest of it is.  With no such
+     variables this is the identity.
+
+Then one sparse LU of the pivot columns E_B (one per equality row)
+eliminates the equalities: x = x0 + Z z with E x0 = f and sparse
+Z = [-E_B^-1 E_N; I].  A mirror variable S_b per block then alternates
 
   1. a z-step: least squares pulling the block images toward S_b - U_b, with
      one LU of Z^T A^T A Z per solve (it does not depend on the penalty);
@@ -26,7 +34,7 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .relaxation import ConicProblem
+from .relaxation import Block, ConicProblem
 
 # Right-hand sides per LU solve while building Z.  Each solve holds a dense
 # num_eq x _SOLVE_CHUNK array; 16 keeps that under 0.5 MB at (4,4,4).
@@ -127,15 +135,52 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
+def _on_face(problem: ConicProblem) -> tuple[ConicProblem, np.ndarray, bool]:
+    """The problem restricted to its face, its live variables and whether a
+    block row was dropped.
+
+    A block keeps its rows that are not identically zero on the face, a full
+    block the same rows and columns; a block left without rows is dropped.
+    """
+    live, dropped_eq = problem.face()
+    cols = np.flatnonzero(live)
+    rows = ~dropped_eq
+    pivots = problem.eq_pivots
+    if pivots is not None:
+        pivots = (np.cumsum(live) - 1)[pivots[rows]]
+    blocks, dropped = [], False
+    for block in problem.blocks:
+        nonzero = (abs(block.coeffs) @ live.astype(float) > 0) | (block.const != 0)
+        if not block.diagonal:
+            nonzero = nonzero.reshape(block.size, block.size).any(axis=1)
+        keep = np.flatnonzero(nonzero)
+        entries = keep if block.diagonal else (keep[:, None] * block.size + keep).ravel()
+        dropped |= len(keep) < block.size
+        if len(keep):
+            coeffs = block.coeffs[entries][:, cols]
+            blocks.append(Block(block.name, len(keep), coeffs, block.const[entries], block.diagonal))
+    restricted = ConicProblem(
+        num_vars=len(cols),
+        blocks=blocks,
+        eq_matrix=problem.eq_matrix[rows][:, cols],
+        eq_rhs=problem.eq_rhs[rows],
+        objective=problem.objective[cols],
+        eq_pivots=pivots,
+    )
+    return restricted, cols, dropped
+
+
 def solve(
     problem: ConicProblem, settings: SolverSettings | None = None
 ) -> tuple[np.ndarray, SolveReport]:
-    """Run the splitting iteration; returns the last iterate and a report."""
+    """Run the splitting iteration on the problem's face; returns the last
+    iterate, 0.0 on the zero variables, and a report."""
     settings = settings or SolverSettings()
-    n = problem.num_vars
+    restricted, live, dropped = _on_face(problem)
+    n = restricted.num_vars
     rho = _PENALTY
 
-    blocks = problem.blocks
+    blocks = restricted.blocks
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
     d_all = (
         np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
@@ -143,8 +188,8 @@ def solve(
     a_all_t = a_all.T.tocsr()
     offsets = np.cumsum([0] + [b.vec_dim for b in blocks])
 
-    eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
-    x0, z_basis = null_space(problem)
+    eq, f, c = restricted.eq_matrix, restricted.eq_rhs, restricted.objective
+    x0, z_basis = null_space(restricted)
     z_basis_t = z_basis.T.tocsr()
     h_lu = spla.splu((z_basis_t @ ((a_all_t @ a_all) @ z_basis)).tocsc())
     v0 = a_all @ x0 + d_all  # block images at z = 0
@@ -167,16 +212,19 @@ def solve(
         return out
 
     def min_block_eig(v: np.ndarray) -> float:
-        worst = np.inf
+        """Minimum eigenvalue of the full blocks, whose rows dropped by the
+        face are zero: at most 0.0 if any was dropped.  NaN when a block is
+        not finite; LAPACK is never handed inf or NaN."""
+        worst = 0.0 if dropped else np.inf
         for b, block in enumerate(blocks):
             seg = v[offsets[b] : offsets[b + 1]]
-            if block.diagonal:
-                worst = min(worst, float(seg.min()) if len(seg) else np.inf)
-            else:
+            if not block.diagonal:
                 mat = seg.reshape(block.size, block.size)
-                worst = min(
-                    worst, float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-                )
+                sym = 0.5 * (mat + mat.T)  # inf where the sum overflows
+                seg = np.linalg.eigvalsh(sym) if np.isfinite(sym).all() else sym
+            if not np.isfinite(seg).all():
+                return np.nan
+            worst = min(worst, float(seg.min()) if len(seg) else np.inf)
         return worst if blocks else 0.0
 
     status = "max_iters"
@@ -244,14 +292,17 @@ def solve(
                 u_all *= 2.0
 
     v_all = a_all @ x + d_all
+    x_full = np.zeros(problem.num_vars)
+    x_full[live] = x
+    eq, f = problem.eq_matrix, problem.eq_rhs
     report = SolveReport(
         status=status,
-        primal_objective=float(c @ x),
+        primal_objective=float(problem.objective @ x_full),
         max_equality_residual=(
-            float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
+            float(np.abs(eq @ x_full - f).max()) if eq.shape[0] else 0.0
         ),
         min_block_eigenvalue=min_block_eig(v_all),
         iterations=iterations,
         residual_history=history,
     )
-    return x, report
+    return x_full, report

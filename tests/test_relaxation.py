@@ -17,6 +17,7 @@ from momentpde.models import (
     DistributedQuadratic,
     InitialData,
     Linear,
+    LocalQuadratic,
     MeasureTag,
     generate_constraints,
 )
@@ -225,6 +226,7 @@ def test_assembly_is_deterministic(u0, deg222):
     assert (a.eq_matrix != b.eq_matrix).nnz == 0
     assert np.array_equal(a.eq_rhs, b.eq_rhs)
     assert np.array_equal(a.objective, b.objective)
+    assert np.array_equal(a.zero_vars, b.zero_vars)
     for ba, bb in zip(a.blocks, b.blocks):
         assert (ba.coeffs != bb.coeffs).nnz == 0
         assert np.array_equal(ba.const, bb.const)
@@ -276,3 +278,88 @@ def test_inconsistent_constant_constraint_is_rejected(deg222):
     # The imaginary row of the test index y[0; -1, 1] is empty: 0 = 1.
     with pytest.raises(ValueError, match="inconsistent constant constraint"):
         build_problem(Linear(), deg222, TwistedData.default())
+
+
+LADDER = [(2, 2, 2), (4, 2, 2), (6, 2, 4), (4, 4, 2), (4, 4, 4)]
+
+
+def free_dimension_on_face(problem):
+    live, dropped = problem.face()
+    return int(live.sum() - (~dropped).sum())
+
+
+@pytest.mark.parametrize(
+    "model, triples, free",
+    [
+        (Linear(), LADDER, [10, 10, 10, 35, 35]),
+        (DistributedQuadratic(0.1), LADDER[:3], [19, 25, 31]),
+    ],
+    ids=["linear", "distributed"],
+)
+def test_dead_mode_face_free_dimensions(u0, model, triples, free):
+    # the default datum leaves the modes |k| >= 2 dead
+    got = [free_dimension_on_face(build_problem(model, TruncationDegrees(*t), u0)) for t in triples]
+    assert got == free
+
+
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)
+def test_local_model_has_no_face(u0, triple):
+    # the convolution feeds every mode: no certificate holds
+    problem = build_problem(LocalQuadratic(0.1), TruncationDegrees(*triple), u0)
+    assert len(problem.zero_vars) == 0
+    assert free_dimension_on_face(problem) == problem.num_vars - problem.num_eq
+
+
+def seeded_datum(seed):
+    """u_0 real and u_{+-1} = r e^{+-i theta}, near the default datum."""
+    rng = np.random.default_rng(seed)
+    a0, r = rng.uniform(0.9, 1.1, 2)
+    c1 = r * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    return InitialData({0: a0, 1: c1, -1: np.conj(c1)})
+
+
+@pytest.mark.parametrize("datum", ["default", "seeded", "no-mean"])
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (6, 2, 4), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)
+def test_closed_form_witness_vanishes_on_the_face(u0, triple, datum):
+    # "no-mean" has u_0(0) = 0: rows of the mode 0 alone stay, and the
+    # face passes the construction checks
+    data = {
+        "default": u0,
+        "seeded": seeded_datum(41),
+        "no-mean": InitialData({-1: 1.0, 1: 1.0}),
+    }[datum]
+    deg = TruncationDegrees(*triple)
+    problem = build_problem(Linear(), deg, data)
+    assert len(problem.zero_vars) > 0
+    x = embed_tables(problem.layout, analytic_tables(data, deg))
+    assert np.all(x[problem.zero_vars] == 0.0)
+
+
+def test_live_mode_two_is_not_eliminated():
+    # u_{+-2}(0) != 0 at harmonic degree 3: only the modes +-3 are dead
+    data = InitialData({-2: 0.5, -1: 1.0, 0: 1.0, 1: 1.0, 2: 0.5})
+    problem = build_problem(Linear(), TruncationDegrees(2, 2, 3), data)
+    modes = {}
+    for (_, idx), slot in problem.layout.slots.items():
+        for var in (slot.real, slot.imag):
+            if var is not None:
+                modes[var] = set(idx.freqs)
+    assert len(problem.zero_vars) > 0
+    assert all(modes[v] & {-3, 3} for v in problem.zero_vars.tolist())
+    assert not any(modes[v] == {2} for v in problem.zero_vars.tolist())
+
+
+def test_inconsistent_face_is_rejected(u0, deg222):
+    problem = build_problem(Linear(), deg222, u0)
+    live, dropped = problem.face()
+    row = np.flatnonzero(dropped)[0]
+    rhs = problem.eq_rhs.copy()
+    rhs[row] = 1.0
+    with pytest.raises(ValueError, match="nonzero right-hand side"):
+        replace(problem, eq_rhs=rhs)
+    kept = np.flatnonzero(~dropped & (np.diff(problem.eq_matrix.indptr) > 1))[0]
+    zero = np.union1d(problem.zero_vars, problem.eq_pivots[kept])
+    with pytest.raises(ValueError, match="pivot among the zero variables"):
+        replace(problem, zero_vars=zero)
+    with pytest.raises(ValueError, match="sorted, distinct and in range"):
+        replace(problem, zero_vars=np.array([problem.num_vars]))

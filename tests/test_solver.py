@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,8 @@ from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
 from momentpde.solver import _PENALTY, SolverSettings, null_space, project_psd, solve
+
+NO_FACE = np.zeros(0, dtype=np.int64)
 
 MODELS = [Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1)]
 
@@ -123,6 +128,7 @@ def test_diverging_iterate_is_infeasible_suspect(capfd, value):
     with np.errstate(over="ignore", invalid="ignore"):
         _, report = solve(problem)
     assert report.status == "infeasible_suspect"
+    assert math.isnan(report.min_block_eigenvalue)
     out, err = capfd.readouterr()
     assert "On entry to" not in out + err  # LAPACK saw no inf or NaN
 
@@ -158,6 +164,48 @@ def test_solver_arithmetic_is_pinned(u0, model, triple, max_iters, status, itera
     _, report = solve(problem, SolverSettings(max_iters=max_iters))
     assert (report.status, report.iterations) == (status, iterations)
     assert report.primal_objective == pytest.approx(objective, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model", [Linear(), DistributedQuadratic(0.01)], ids=["linear", "distributed-0.01"]
+)
+def test_face_keeps_the_answer(u0, deg222, model):
+    # the dead-mode face against the same problem solved without it
+    problem = build_problem(model, deg222, u0)
+    assert len(problem.zero_vars) > 0
+    x, on_face = solve(problem)
+    _, full = solve(replace(problem, zero_vars=NO_FACE))
+    assert (on_face.status, on_face.iterations) == (full.status, full.iterations)
+    assert on_face.primal_objective == pytest.approx(full.primal_objective, rel=1e-10)
+    assert len(x) == problem.num_vars
+    assert np.all(x[problem.zero_vars] == 0.0)
+
+
+def test_hand_built_face_drops_a_zero_row():
+    # X PSD 3x3 with X11 = X22 = 1 and X33 = 0: the third row is zero on
+    # every feasible point, so X13, X23 and X33 form the face
+    entries = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (0, 2): 3, (1, 2): 4, (2, 2): 5}
+    problem = ConicProblem(
+        num_vars=6,
+        blocks=[symmetric_variable_block(3, 6, entries)],
+        eq_matrix=sp.csr_matrix(np.eye(6)[[0, 2, 5]]),
+        eq_rhs=np.array([1.0, 1.0, 0.0]),
+        objective=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+        zero_vars=np.array([3, 4, 5]),
+    )
+    x, report = solve(problem)
+    assert report.status == "optimal"
+    assert np.abs(x - np.array([1.0, 0, 1.0, 0, 0, 0])).max() <= 1e-6
+    assert np.all(x[3:] == 0.0)
+    # the restricted 2x2 block is near the identity; the full block adds a
+    # zero row, so its minimum eigenvalue is exactly 0
+    assert report.min_block_eigenvalue == 0.0
+
+
+def test_full_block_of_size_zero_is_rejected():
+    empty = Block(name="empty", size=0, coeffs=sp.csr_matrix((0, 3)), const=np.zeros(0))
+    with pytest.raises(ValueError, match="block empty has size 0"):
+        replace(min_trace_completion_problem(), blocks=[empty])
 
 
 def test_settings_validation():
@@ -209,18 +257,24 @@ def test_null_space_of_generated_equalities(u0, model, triple):
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_first_x_step_matches_dense_kkt_solve(u0, deg222, model):
     # From S = U = 0 the first x-step minimizes (rho/2)|A x + d|^2 + c.x
-    # subject to E x = f.
+    # subject to E x = f and x = 0 on the face's zero variables.  The face
+    # rows repeat the equality rows on zero variables only: a consistent,
+    # singular KKT system, with x unique.
     problem = build_problem(model, deg222, u0)
     rho = _PENALTY
     x, _ = solve(problem, SolverSettings(max_iters=1))
     a = np.vstack([b.coeffs.toarray() for b in problem.blocks])
     d = np.concatenate([b.const for b in problem.blocks])
-    e = problem.eq_matrix.toarray()
-    n, m = problem.num_vars, problem.num_eq
+    n = problem.num_vars
+    e = np.vstack([problem.eq_matrix.toarray(), np.eye(n)[problem.zero_vars]])
+    m = len(e)
     kkt = np.block([[rho * a.T @ a, e.T], [e, np.zeros((m, m))]])
-    rhs = np.concatenate([-rho * a.T @ d - problem.objective, problem.eq_rhs])
-    reference = np.linalg.solve(kkt, rhs)[:n]
-    assert np.abs(x - reference).max() <= 1e-10
+    rhs = np.concatenate(
+        [-rho * a.T @ d - problem.objective, problem.eq_rhs, np.zeros(len(problem.zero_vars))]
+    )
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    assert np.abs(kkt @ sol - rhs).max() <= 1e-10
+    assert np.abs(x - sol[:n]).max() <= 1e-10
 
 
 def test_equalities_hold_to_roundoff_during_solve(u0, deg422):
