@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .indices import TruncationDegrees
@@ -56,7 +56,7 @@ _VARIANT_NAMES = {
 }
 
 _MODEL_KEYS = {"variant", "epsilon", "m1", "m2"}
-_SOLVER_KEYS = {"max_iters", "abs_tol"}
+_SOLVER_KEYS = {f.name for f in fields(SolverSettings)}
 _ORACLE_KEYS = {"step", "cutoff"}
 _TOP_KEYS = {"model", "initial", "degrees", "solver", "oracle", "output_dir"}
 

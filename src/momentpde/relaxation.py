@@ -38,8 +38,8 @@ the terminal moment (0, C) at ell = 0, else the occupation moment
 
 ``build_problem`` also records the dead-mode face, ``ConicProblem.zero_vars``:
 the moments that a certificate (see ``_dead_face``) shows to be zero on every
-feasible point.  The solver restricts the problem to it; the SDPA export and
-extraction see the whole problem.
+feasible point.  The solver fixes them at 0.0 in its one substitution for
+the equalities; the SDPA export and extraction see the whole problem.
 """
 
 from __future__ import annotations
@@ -192,6 +192,15 @@ class ConicProblem:
                 raise ValueError(f"block {block.name} coefficient shape mismatch")
             if block.size < 1 and not block.diagonal:
                 raise ValueError(f"block {block.name} has size {block.size}")
+        if self.eq_pivots is not None:
+            pivots = self.eq_pivots = np.asarray(self.eq_pivots)
+            if (
+                pivots.shape != (self.num_eq,)
+                or pivots.dtype.kind not in "iu"
+                or not ((0 <= pivots) & (pivots < self.num_vars)).all()
+                or len(np.unique(pivots)) < len(pivots)
+            ):
+                raise ValueError("eq_pivots must be one distinct column in range per equality row")
         if not len(self.zero_vars):
             return
         zero = self.zero_vars

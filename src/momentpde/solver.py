@@ -1,17 +1,15 @@
 """Embedded first-order conic solver: operator splitting in the equality null space.
 
 The problem is min c.x subject to E x = f and (A_b x + d_b) in the PSD cone
-for every block b.  First, once per solve:
-
-  0. the problem is restricted to its face: the variables it certifies zero
-     (``ConicProblem.zero_vars``) are fixed at 0.0, and the equality rows and
-     block rows that hold nothing else are dropped, since a matrix with a
-     zero row is PSD exactly when the rest of it is.  With no such
-     variables this is the identity.
-
-Then one sparse LU of the pivot columns E_B (one per equality row)
-eliminates the equalities: x = x0 + Z z with E x0 = f and sparse
-Z = [-E_B^-1 E_N; I].  A mirror variable S_b per block then alternates
+for every block b.  First, once per solve, one substitution x = x0 + Z z
+covers both the equalities and the face {x : x_F = 0}, F the variables the
+problem certifies zero (``ConicProblem.zero_vars``).  The equality rows the
+face empties read 0 = 0 and are left out, and so are the block rows that are
+identically zero on it, since a matrix with a zero row is PSD exactly when
+the rest of it is.  One sparse LU of the pivot columns E_B (one per kept
+row) gives E x0 = f and the sparse Z = [-E_B^-1 E_N; I] on the live columns,
+with x0 and Z exactly zero on F.  A mirror variable S_b per block then
+alternates
 
   1. a z-step: least squares pulling the block images toward S_b - U_b, with
      one LU of Z^T A^T A Z per solve (it does not depend on the penalty);
@@ -26,7 +24,7 @@ speeds up the consensus.  Everything is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +55,6 @@ _dsyevr = scipy.linalg.lapack.dsyevr
 class SolverSettings:
     max_iters: int = 50000
     abs_tol: float = 1e-7
-    track_residuals: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool):
@@ -77,13 +74,10 @@ class SolveReport:
     max_equality_residual: float
     min_block_eigenvalue: float
     iterations: int
-    residual_history: list[float] | None = None
 
     def as_dict(self) -> dict:
-        """Every field but the residual history, in declaration order."""
-        return {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "residual_history"
-        }
+        """Every field, in declaration order."""
+        return asdict(self)
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -100,21 +94,29 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Particular solution x0 and sparse basis Z with {x : E x = f} = x0 + range(Z).
+    """Particular solution x0 and sparse basis Z with
+    {x : E x = f, x_F = 0} = x0 + range(Z), F the zero variables.
 
-    Problems without recorded pivots get them from a column-pivoted QR of E.
+    The equality rows the face empties are left out; their right-hand sides
+    are 0.  Z has no entry in a row of F, and x0 is 0.0 there.  Problems
+    without recorded pivots get them from a column-pivoted QR of the kept
+    rows on the live columns.
     """
-    eq, f = problem.eq_matrix.tocsc(), problem.eq_rhs
-    n, num_eq = problem.num_vars, problem.num_eq
+    live, dropped = problem.face()
+    kept = ~dropped
+    eq, f = problem.eq_matrix[kept].tocsc(), problem.eq_rhs[kept]
+    n, num_eq = problem.num_vars, len(f)
     if num_eq == 0:
-        return np.zeros(n), sp.identity(n, format="csr")
-    pivots = problem.eq_pivots
-    if pivots is None:
-        _, r, perm = scipy.linalg.qr(eq.toarray(), mode="economic", pivoting=True)
-        if num_eq > n or abs(r[num_eq - 1, num_eq - 1]) <= 1e-12 * abs(r[0, 0]):
+        return np.zeros(n), sp.identity(n, format="csr")[:, live]
+    live_cols = np.flatnonzero(live)
+    if problem.eq_pivots is not None:
+        pivots = problem.eq_pivots[kept]
+    else:
+        _, r, perm = scipy.linalg.qr(eq[:, live_cols].toarray(), mode="economic", pivoting=True)
+        if num_eq > len(live_cols) or abs(r[num_eq - 1, num_eq - 1]) <= 1e-12 * abs(r[0, 0]):
             raise ValueError("equality rows are linearly dependent")
-        pivots = perm[:num_eq]
-    free = np.setdiff1d(np.arange(n), pivots)
+        pivots = live_cols[perm[:num_eq]]
+    free = np.setdiff1d(live_cols, pivots)
     e_base, e_free = eq[:, pivots], eq[:, free]
     try:
         lu = spla.splu(e_base)
@@ -135,19 +137,11 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
-def _on_face(problem: ConicProblem) -> tuple[ConicProblem, np.ndarray, bool]:
-    """The problem restricted to its face, its live variables and whether a
-    block row was dropped.
-
-    A block keeps its rows that are not identically zero on the face, a full
-    block the same rows and columns; a block left without rows is dropped.
-    """
-    live, dropped_eq = problem.face()
-    cols = np.flatnonzero(live)
-    rows = ~dropped_eq
-    pivots = problem.eq_pivots
-    if pivots is not None:
-        pivots = (np.cumsum(live) - 1)[pivots[rows]]
+def _blocks_on_face(problem: ConicProblem) -> tuple[list[Block], np.ndarray, bool]:
+    """The blocks restricted to their rows that are not identically zero on
+    the face, a full block to the same rows and columns; the live variables;
+    and whether a row was dropped.  A block left without rows is dropped."""
+    live, _ = problem.face()
     blocks, dropped = [], False
     for block in problem.blocks:
         nonzero = (abs(block.coeffs) @ live.astype(float) > 0) | (block.const != 0)
@@ -157,30 +151,21 @@ def _on_face(problem: ConicProblem) -> tuple[ConicProblem, np.ndarray, bool]:
         entries = keep if block.diagonal else (keep[:, None] * block.size + keep).ravel()
         dropped |= len(keep) < block.size
         if len(keep):
-            coeffs = block.coeffs[entries][:, cols]
-            blocks.append(Block(block.name, len(keep), coeffs, block.const[entries], block.diagonal))
-    restricted = ConicProblem(
-        num_vars=len(cols),
-        blocks=blocks,
-        eq_matrix=problem.eq_matrix[rows][:, cols],
-        eq_rhs=problem.eq_rhs[rows],
-        objective=problem.objective[cols],
-        eq_pivots=pivots,
-    )
-    return restricted, cols, dropped
+            coeffs, const = block.coeffs[entries], block.const[entries]
+            blocks.append(Block(block.name, len(keep), coeffs, const, block.diagonal))
+    return blocks, live, dropped
 
 
 def solve(
     problem: ConicProblem, settings: SolverSettings | None = None
 ) -> tuple[np.ndarray, SolveReport]:
     """Run the splitting iteration on the problem's face; returns the last
-    iterate, 0.0 on the zero variables, and a report."""
+    iterate, exactly 0.0 on the zero variables, and a report."""
     settings = settings or SolverSettings()
-    restricted, live, dropped = _on_face(problem)
-    n = restricted.num_vars
+    blocks, live, dropped = _blocks_on_face(problem)
+    n = problem.num_vars
     rho = _PENALTY
 
-    blocks = restricted.blocks
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
     d_all = (
         np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
@@ -188,8 +173,8 @@ def solve(
     a_all_t = a_all.T.tocsr()
     offsets = np.cumsum([0] + [b.vec_dim for b in blocks])
 
-    eq, f, c = restricted.eq_matrix, restricted.eq_rhs, restricted.objective
-    x0, z_basis = null_space(restricted)
+    eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
+    x0, z_basis = null_space(problem)
     z_basis_t = z_basis.T.tocsr()
     h_lu = spla.splu((z_basis_t @ ((a_all_t @ a_all) @ z_basis)).tocsc())
     v0 = a_all @ x0 + d_all  # block images at z = 0
@@ -197,7 +182,6 @@ def solve(
     s_all = np.zeros(a_all.shape[0])
     u_all = np.zeros_like(s_all)
     x = x0
-    history: list[float] | None = [] if settings.track_residuals else None
 
     def project_all(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -242,28 +226,18 @@ def solve(
             status = "infeasible_suspect"
             iterations = it
             break
-        s_prev, u_prev = s_all, u_all
+        s_prev = s_all
         s_all = project_all(target)
         u_all = u_all + v_relaxed - s_all
-
-        if history is not None:
-            # fixed-point displacement of the splitting step; monotone
-            # non-increasing for an averaged operator iteration
-            history.append(
-                float(
-                    np.sqrt(
-                        np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)
-                    )
-                )
-            )
 
         check = it % _CHECK_EVERY == 0 or it == settings.max_iters
         adapt = it % _ADAPT_EVERY == 0 and it < settings.max_iters
         if not (check or adapt):
             continue
         primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
+        # on the live variables only: a kept block row may hold a zero variable
         dual = (
-            float(rho * np.abs(a_all_t @ (s_all - s_prev)).max()) if len(s_all) else 0.0
+            float(rho * np.abs((a_all_t @ (s_all - s_prev))[live]).max()) if len(s_all) else 0.0
         )
 
         if check:
@@ -292,17 +266,11 @@ def solve(
                 u_all *= 2.0
 
     v_all = a_all @ x + d_all
-    x_full = np.zeros(problem.num_vars)
-    x_full[live] = x
-    eq, f = problem.eq_matrix, problem.eq_rhs
     report = SolveReport(
         status=status,
-        primal_objective=float(problem.objective @ x_full),
-        max_equality_residual=(
-            float(np.abs(eq @ x_full - f).max()) if eq.shape[0] else 0.0
-        ),
+        primal_objective=float(c @ x),
+        max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
         min_block_eigenvalue=min_block_eig(v_all),
         iterations=iterations,
-        residual_history=history,
     )
-    return x_full, report
+    return x, report

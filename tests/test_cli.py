@@ -84,7 +84,8 @@ def test_config_validation_errors(tmp_path):
         parse_config({"extra_key": True})
     # the splitting knobs are module constants, not settings
     for key, value in (("penalty", 1.0), ("over_relaxation", 1.6),
-                       ("adaptive_penalty", True), ("rel_tol", 1e-9)):
+                       ("adaptive_penalty", True), ("rel_tol", 1e-9),
+                       ("track_residuals", True)):
         with pytest.raises(ConfigError, match="unknown solver keys"):
             parse_config({"solver": {key: value}})
     for bad in ("10", 1.5, True, -3, 0):

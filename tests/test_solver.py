@@ -133,12 +133,28 @@ def test_diverging_iterate_is_infeasible_suspect(capfd, value):
     assert "On entry to" not in out + err  # LAPACK saw no inf or NaN
 
 
-def test_combined_residual_monotone_after_burn_in():
+def test_combined_residual_monotone_after_burn_in(monkeypatch):
+    # Each problem has one full block, so each projection sees the target of
+    # one iteration and returns S; the scaled dual is U = target - S, bit for
+    # bit.  The fixed-point displacement of the splitting step is monotone
+    # non-increasing for an averaged operator iteration.
     for problem in (min_trace_completion_problem(), rank_one_forcing_problem()):
-        _, report = solve(problem, SolverSettings(track_residuals=True))
-        h = np.array(report.residual_history)
-        assert len(h) > 51
-        increases = h[51:] - h[50:-1]
+        s_prev, u_prev, h = np.zeros(4), np.zeros(4), []
+
+        def spy(mat):
+            nonlocal s_prev, u_prev
+            s = project_psd(mat)
+            s_all, u_all = s.ravel(), (mat - s).ravel()
+            h.append(np.sqrt(np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)))
+            s_prev, u_prev = s_all, u_all
+            return s
+
+        monkeypatch.setattr(solver, "project_psd", spy)
+        _, report = solve(problem)
+        # it stops before the first penalty adaptation, which rescales U
+        assert report.status == "optimal" and report.iterations < solver._ADAPT_EVERY
+        assert len(h) == report.iterations > 51
+        increases = np.diff(h[50:])
         assert increases.max() <= 1e-12
 
 
@@ -181,11 +197,11 @@ def test_face_keeps_the_answer(u0, deg222, model):
     assert np.all(x[problem.zero_vars] == 0.0)
 
 
-def test_hand_built_face_drops_a_zero_row():
+def zero_row_face_problem():
     # X PSD 3x3 with X11 = X22 = 1 and X33 = 0: the third row is zero on
     # every feasible point, so X13, X23 and X33 form the face
     entries = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (0, 2): 3, (1, 2): 4, (2, 2): 5}
-    problem = ConicProblem(
+    return ConicProblem(
         num_vars=6,
         blocks=[symmetric_variable_block(3, 6, entries)],
         eq_matrix=sp.csr_matrix(np.eye(6)[[0, 2, 5]]),
@@ -193,7 +209,10 @@ def test_hand_built_face_drops_a_zero_row():
         objective=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
         zero_vars=np.array([3, 4, 5]),
     )
-    x, report = solve(problem)
+
+
+def test_hand_built_face_drops_a_zero_row():
+    x, report = solve(zero_row_face_problem())
     assert report.status == "optimal"
     assert np.abs(x - np.array([1.0, 0, 1.0, 0, 0, 0])).max() <= 1e-6
     assert np.all(x[3:] == 0.0)
@@ -242,16 +261,25 @@ def test_linear_heat_222_feasibility(u0, deg222):
     assert report.min_block_eigenvalue >= -1e-6
 
 
+def assert_null_space_of_face(problem, x0, z_basis, tol):
+    """x0 + range(Z) lies in {E x = f, x_F = 0}, with one column per live
+    variable that is not the pivot of a kept equality row."""
+    live, dropped = problem.face()
+    assert z_basis.shape == (problem.num_vars, live.sum() - (~dropped).sum())
+    assert z_basis[problem.zero_vars].nnz == 0
+    assert np.all(x0[problem.zero_vars] == 0.0)
+    eq_z = abs(problem.eq_matrix @ z_basis)
+    assert eq_z.sum(axis=1).max() <= tol
+    assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= tol
+
+
 @pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)])
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_null_space_of_generated_equalities(u0, model, triple):
     problem = build_problem(model, TruncationDegrees(*triple), u0)
     assert len(problem.eq_pivots) == len(np.unique(problem.eq_pivots)) == problem.num_eq
     x0, z_basis = null_space(problem)
-    assert z_basis.shape == (problem.num_vars, problem.num_vars - problem.num_eq)
-    eq_z = abs(problem.eq_matrix @ z_basis)
-    assert eq_z.sum(axis=1).max() <= 1e-12
-    assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-12
+    assert_null_space_of_face(problem, x0, z_basis, 1e-12)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
@@ -294,6 +322,15 @@ def test_hand_built_problem_gets_pivots_by_qr(make):
     assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-15
 
 
+def test_qr_pivots_on_a_face():
+    # no recorded pivots: the QR factors the kept rows on the live columns
+    problem = zero_row_face_problem()
+    assert problem.eq_pivots is None
+    x0, z_basis = null_space(problem)
+    assert z_basis.shape == (6, 1)  # X12 alone is free
+    assert_null_space_of_face(problem, x0, z_basis, 1e-15)
+
+
 def test_dependent_equality_rows_are_rejected():
     problem = ConicProblem(
         num_vars=3,
@@ -304,6 +341,14 @@ def test_dependent_equality_rows_are_rejected():
     )
     with pytest.raises(ValueError, match="linearly dependent"):
         solve(problem)
+
+
+@pytest.mark.parametrize("pivots", [[0], [0, 7], [2, 2], [-1, 0], [0.0, 2.0]])
+@pytest.mark.parametrize("face", [NO_FACE, np.array([2])], ids=["no-face", "face"])
+def test_malformed_pivots_are_rejected(pivots, face):
+    # one distinct integer column in range per equality row, or a ValueError
+    with pytest.raises(ValueError, match="eq_pivots must be"):
+        replace(rank_one_forcing_problem(), eq_pivots=pivots, zero_vars=face)
 
 
 def test_singular_pivot_columns_are_rejected():
