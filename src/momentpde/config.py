@@ -57,8 +57,8 @@ _VARIANT_NAMES = {
 
 _MODEL_KEYS = {"variant", "epsilon", "m1", "m2"}
 _SOLVER_KEYS = {f.name for f in fields(SolverSettings)}
-_ORACLE_KEYS = {"step", "cutoff"}
-_TOP_KEYS = {"model", "initial", "degrees", "solver", "oracle", "output_dir"}
+_ORACLE_KEYS = {f.name for f in fields(OracleSettings)}
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _fail(msg: str) -> None:

@@ -30,11 +30,14 @@ conjugate of the stored representative's) exactly when the reversed row is
 larger at the first mode where the row and its reverse differ; this is the
 order of ``canonicalize``.  The bytes of the canonical int8 row [ell, count
 row] are the moment's key, and ``VariableLayout.lookup`` finds its slots by
-``np.searchsorted`` in the layout's sorted keys.  The equality rows use the
-same lookup on the count rows of ``MomentEquations``.  The pivot of a row,
-the slot its recursion step solves for, comes from its test index (ell, C):
-the terminal moment (0, C) at ell = 0, else the occupation moment
-(ell - 1, C).
+``np.searchsorted`` in the layout's sorted keys.  ``build_problem`` looks up
+the upper terms of each block spec once, and three readers share the terms
+and their slots: ``_embedded_block``, the only code that builds the
+embedding; the objective, 1.0 at the real slot of each diagonal term of a
+moment block; and ``_dead_face``.  The equality rows use the same lookup on
+the count rows of ``MomentEquations``.  The pivot of a row, the slot its
+recursion step solves for, comes from its test index (ell, C): the terminal
+moment (0, C) at ell = 0, else the occupation moment (ell - 1, C).
 
 ``build_problem`` also records the dead-mode face, ``ConicProblem.zero_vars``:
 the moments that a certificate (see ``_dead_face``) shows to be zero on every
@@ -287,14 +290,16 @@ def block_specs(deg: TruncationDegrees) -> tuple[BlockSpec, BlockSpec, BlockSpec
     )
 
 
-def _embedded_block(spec: BlockSpec, layout: VariableLayout) -> Block:
+def _embedded_block(
+    spec: BlockSpec, terms: tuple[np.ndarray, ...], slots: tuple[np.ndarray, ...], num_vars: int
+) -> Block:
     """The spec's block as an affine map into its real embedding."""
     m = len(spec.basis)
     size = 2 * m
     # Per upper-triangle term, H = A + iB gains sign in A through the real
     # slot and sign * conj in B through the imaginary slot, if there is one.
-    r, c, sign, ell, counts = spec.upper_terms()
-    real, imag, conj = layout.lookup(spec.measure, ell, counts)
+    r, c, sign, _, _ = terms
+    real, imag, conj = slots
     present = np.column_stack([np.ones(len(imag), dtype=bool), imag >= 0]).ravel()
     r, c = np.repeat(r, 2)[present], np.repeat(c, 2)[present]
     var = np.column_stack([real, imag]).ravel()[present]
@@ -311,7 +316,7 @@ def _embedded_block(spec: BlockSpec, layout: VariableLayout) -> Block:
     keep = vals != 0.0
     coeffs = sp.coo_matrix(
         (vals[keep], (rows[keep] * size + cols[keep], np.tile(var, 4)[keep])),
-        shape=(size * size, layout.num_vars),
+        shape=(size * size, num_vars),
     ).tocsr()
     return Block(name=spec.name, size=size, coeffs=coeffs, const=np.zeros(size * size))
 
@@ -371,25 +376,27 @@ def _equalities(
 
 def _dead_face(
     equations: MomentEquations,
-    specs: tuple[BlockSpec, ...],
-    blocks: list[Block],
+    moment_blocks: list[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]],
     u0: InitialData,
     num_vars: int,
 ) -> np.ndarray:
     """Variables zero on every feasible point: the entries of the moment-block
     rows certified zero because their monomial holds a dead mode, a mode k
-    with u_k(0) = 0.
+    with u_k(0) = 0.  ``moment_blocks`` holds the upper terms of each moment
+    block with their slots.
 
     Row (th, a) of a moment block has the diagonal entry y[2th; C] with
-    C = a + reversed(a), or y^1[0; C] in the terminal block.  Call the
-    equation of test index (ell, C) clean when every occupation term sits on
-    the count row C.  The initial moments of C vanish, as C holds k, so the
-    clean equations read y^1[0; C] - ell y[ell - 1; C] + c y[ell; C] = 0 with
-    c = sum n^2 over C.  Take c > 0.  At ell = 0 both terms are diagonal
-    entries of PSD blocks, so y^1[0; C] = y[0; C] = 0, and the equations at
-    ell = 1, 2, ... then zero y[ell; C] in turn.  A row is certified when the
-    clean equations reach the time degree of its diagonal, and a PSD block
-    with a zero diagonal entry has a zero row.  Rows of the mode 0 alone
+    C = a + reversed(a), or y^1[0; C] in the terminal block.  C holds a dead
+    mode when a does, and for conjugate-symmetric data only then; the rest
+    needs only the dead mode k of C.  Call the equation of test index
+    (ell, C) clean when every occupation term sits on the count row C.  The
+    initial moments of C vanish, as C holds k, so the clean equations read
+    y^1[0; C] - ell y[ell - 1; C] + c y[ell; C] = 0 with c = sum n^2 over C.
+    Take c > 0.  At ell = 0 both terms are diagonal entries of PSD blocks,
+    so y^1[0; C] = y[0; C] = 0, and the equations at ell = 1, 2, ... then
+    zero y[ell; C] in turn.  A row is certified when the clean equations
+    reach the time degree of its diagonal, and a PSD block with a zero
+    diagonal entry has a zero row and column.  Rows of the mode 0 alone
     (c = 0) are left alone: their chain stops one time degree short, and
     their face would leave kept equality rows without their pivots.  The
     localizer's rows are not certified here: their entries are differences
@@ -402,27 +409,18 @@ def _dead_face(
     clean = np.bincount(equations.eq[off_row], minlength=len(equations)) == 0
     known = np.sort(moment_keys(equations.test_ell[clean], equations.test_counts[clean]))
     zero = np.zeros(num_vars, dtype=bool)
-    for spec, block in zip(specs, blocks):
-        if spec.terms != MOMENT:
-            continue
-        th = np.array([b.time_degree for b in spec.basis], dtype=np.int64)
-        counts = mode_counts([b.freqs for b in spec.basis], h)
-        diagonal = counts + counts[:, ::-1]
-        # the last time degree whose clean equation the certificate needs;
-        # 0 in the terminal block, whose basis has th = 0
-        top = 2 * th
-        certified = (counts[:, dead] > 0).any(axis=1) & (diagonal @ modes**2 > 0)
-        for ell in range(int(top.max()) + 1):
-            query = moment_keys(np.full(len(th), ell), diagonal)
+    for (r, c, _, ell, counts), (real, imag, _) in moment_blocks:
+        # one term per entry, so the diagonal terms come in row order; their
+        # time degree 2 th is the last one the certificate needs
+        top, diagonal = ell[r == c], counts[r == c]
+        certified = (diagonal[:, dead] > 0).any(axis=1) & (diagonal @ modes**2 > 0)
+        for t in range(int(top.max()) + 1):
+            query = moment_keys(np.full(len(top), t), diagonal)
             pos = np.minimum(np.searchsorted(known, query), len(known) - 1)
-            certified &= (known[pos] == query) | (ell > top)
-        # Embedded row r holds the moments of row r, in the CSR rows of its
-        # entries r * size .. (r + 1) * size - 1.
-        first = np.flatnonzero(certified) * block.size
-        start, stop = block.coeffs.indptr[first], block.coeffs.indptr[first + block.size]
-        width = stop - start
-        at = np.arange(width.sum()) + np.repeat(start - np.cumsum(width) + width, width)
-        zero[block.coeffs.indices[at]] = True
+            certified &= (known[pos] == query) | (t > top)
+        touched = certified[r] | certified[c]
+        zero[real[touched]] = True
+        zero[imag[touched & (imag >= 0)]] = True
     return np.flatnonzero(zero)
 
 
@@ -445,15 +443,16 @@ def build_problem(
     eq, eq_rhs, eq_pivots = _equalities(equations, layout, u0)
 
     specs = block_specs(deg)
-    blocks = [_embedded_block(spec, layout) for spec in specs]
+    terms = [spec.upper_terms() for spec in specs]
+    slots = [layout.lookup(spec.measure, *t[3:]) for spec, t in zip(specs, terms)]
+    blocks = [_embedded_block(*args, n) for args in zip(specs, terms, slots)]
+    moment_blocks = [(t, s) for spec, t, s in zip(specs, terms, slots) if spec.terms == MOMENT]
 
-    # Objective: Hermitian traces of the moment blocks, half the traces of
-    # their embeddings.
+    # Objective: the Hermitian traces of the moment blocks, 1.0 at the real
+    # slot of each diagonal term.
     objective = np.zeros(n)
-    for spec, block in zip(specs, blocks):
-        if spec.terms == MOMENT:
-            diagonal = np.arange(block.size) * (block.size + 1)
-            objective += 0.5 * np.asarray(block.coeffs[diagonal].sum(axis=0)).ravel()
+    for (r, c, *_), (real, *_) in moment_blocks:
+        np.add.at(objective, real[r == c], 1.0)
 
     # Initial moments are data: one entry per canonical moment, in slot order.
     initial_table = MomentTable(
@@ -474,7 +473,7 @@ def build_problem(
         layout=layout,
         initial_table=initial_table,
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",
-        zero_vars=_dead_face(equations, specs, blocks, u0, n),
+        zero_vars=_dead_face(equations, moment_blocks, u0, n),
     )
 
 

@@ -56,6 +56,8 @@ def test_config_defaults():
     assert cfg.degrees.as_tuple() == (4, 2, 2)
     assert cfg.initial.coeff(-1) == 1 and cfg.initial.coeff(0) == 1
     assert cfg.oracle.cutoff is None  # oracle_tables' default, twice the harmonic degree
+    cfg = parse_config({"initial": [[-1, 1, 0], [0, 0.5, 0], [1, 1, 0]]})
+    assert cfg.initial.coeffs == {-1: 1, 0: 0.5, 1: 1}
 
 
 NONFINITE_OR_ZERO_STEP = (
@@ -110,6 +112,20 @@ def test_config_validation_errors(tmp_path):
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(bad)
+    for bad, match in (
+        ([], "root must be an object"),
+        ({"model": "linear"}, "'model' must be an object"),
+        ({"model": {"variant": "linear", "mode": 1}}, "unknown model keys"),
+        ({"model": {"variant": "linear", "m1": 1}}, "linear model takes no forcing modes"),
+        ({"model": {"variant": "local", "m2": 1}}, "local model takes no forcing modes"),
+        ({"model": {"variant": "distributed", "m1": 0}}, "mode numbers must be positive"),
+        ({"initial": [[1, 1.0, 0.0]]}, "not conjugate-symmetric"),
+        ({"solver": [1]}, "'solver' must be an object"),
+        ({"oracle": 0.01}, "'oracle' accepts only"),
+        ({"output_dir": 1}, "'output_dir' must be a string"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(bad)
     # json parses NaN and Infinity; no config number may be either, and the
     # Galerkin step must be positive.  The CLI exits 2 on each.
     path = tmp_path / "config.json"
@@ -119,6 +135,10 @@ def test_config_validation_errors(tmp_path):
         path.write_text(text)
         argv = ["oracle", "--config", str(path), "--which", "galerkin"]
         assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    path.write_text('{"degrees": [2, 2, 2]')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     with pytest.raises(ConfigError):
         # forcing modes beyond the harmonic degree
         parse_config(
@@ -192,7 +212,12 @@ def test_compare_csv_reference(tmp_path):
     ref = out / "analytic_occupation.csv"
     assert ref.exists()
     assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 0
-    assert (out / "accuracy.csv").exists()
+    accuracy = (out / "accuracy.csv").read_bytes()
+    # a blank line in the reference is skipped
+    lines = ref.read_text().splitlines(keepends=True)
+    ref.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 0
+    assert (out / "accuracy.csv").read_bytes() == accuracy
 
 
 def test_compare_galerkin(tmp_path):
@@ -205,6 +230,10 @@ def test_compare_missing_reference_index(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(out))
     ref = tmp_path / "partial.csv"
     ref.write_text("ell,freqs,re,im\n0,,1.0,0.0\n")
+    assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 2
+    # neither a keyword nor a file, and a CSV that is not a moment table
+    assert main(["compare", "--config", str(cfg), "--reference", str(tmp_path / "exact")]) == 2
+    ref.write_text("measure,ell,freqs,re,im\noccupation,0,,1.0,0.0\n")
     assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 2
 
 

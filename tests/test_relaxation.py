@@ -289,17 +289,18 @@ def free_dimension_on_face(problem):
 
 
 @pytest.mark.parametrize(
-    "model, triples, free",
+    "model, triples, free, zero",
     [
-        (Linear(), LADDER, [10, 10, 10, 35, 35]),
-        (DistributedQuadratic(0.1), LADDER[:3], [19, 25, 31]),
+        (Linear(), LADDER, [10, 10, 10, 35, 35], [44, 66, 360, 546, 4080]),
+        (DistributedQuadratic(0.1), LADDER[:3], [19, 25, 31], [44, 66, 360]),
     ],
     ids=["linear", "distributed"],
 )
-def test_dead_mode_face_free_dimensions(u0, model, triples, free):
+def test_dead_mode_face_free_dimensions(u0, model, triples, free, zero):
     # the default datum leaves the modes |k| >= 2 dead
-    got = [free_dimension_on_face(build_problem(model, TruncationDegrees(*t), u0)) for t in triples]
-    assert got == free
+    problems = [build_problem(model, TruncationDegrees(*t), u0) for t in triples]
+    assert [free_dimension_on_face(p) for p in problems] == free
+    assert [len(p.zero_vars) for p in problems] == zero
 
 
 @pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from momentpde.indices import TruncationDegrees
 from momentpde.models import InitialData, Linear
-from momentpde.relaxation import Block, ConicProblem, build_problem
+from momentpde.relaxation import Block, ConicProblem, build_problem, extract_pseudomoments
 from momentpde.sdpa import (
     export_sdpa,
     from_sdpa_data,
@@ -57,6 +57,9 @@ def test_heat_problem_roundtrip(tmp_path, u0, deg222):
     assert np.all(data.entries[:, 2] <= data.entries[:, 3])
     # the equality block is diagonal with paired signs
     assert data.block_sizes[-1] == -2 * problem.num_eq
+    # the reconstruction has no moment names to extract by
+    with pytest.raises(ValueError, match="carries no variable layout"):
+        extract_pseudomoments(from_sdpa_data(data), np.zeros(problem.num_vars))
 
 
 def test_values_roundtrip_bit_exactly(tmp_path):
@@ -168,6 +171,8 @@ def test_read_sdpa_rejects_malformed(tmp_path):
         ("2\n1\n0\n1.0 0.5", "block size line has a block of size 0"),
         ("2\n1\n-0\n1.0 0.5", "block size line has a block of size 0"),
         ("{}\n1\n2\n1.0 0.5", r"empty header line '\{\}\\n'"),
+        ("2\n2\n2\n1.0 0.5", "block size line has 1 entries, expected 2"),
+        ("2\n1\n2\n1.0", "RHS line has 1 values, expected 2"),
     ]:
         path.write_text(f"{header}\n1 1 1 1 1.0\n")
         with pytest.raises(ValueError, match=rf"bad\.dat-s: {message}"):

@@ -166,17 +166,23 @@ def test_solver_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "model, triple, max_iters, status, iterations, objective",
+    "model, triple, scale, max_iters, status, iterations, objective",
     [
-        (Linear(), (2, 2, 2), 50000, "optimal", 650, 5.959644251461846),
-        (LocalQuadratic(0.1), (2, 2, 2), 50000, "optimal", 575, 7.188158484655687),
-        (Linear(), (4, 2, 2), 200, "max_iters", 200, 6.432535143240761),
+        (Linear(), (2, 2, 2), 1.0, 50000, "optimal", 650, 5.959644251461846),
+        (LocalQuadratic(0.1), (2, 2, 2), 1.0, 50000, "optimal", 575, 7.188158484655687),
+        (Linear(), (4, 2, 2), 1.0, 200, "max_iters", 200, 6.432535143240761),
+        # the small objective doubles the penalty at iteration 500 and halves
+        # it at 1,000 and 1,500
+        (Linear(), (2, 2, 2), 1e-4, 50000, "optimal", 2225, 5.959644370001753e-4),
     ],
-    ids=["linear-222", "local-222", "linear-422-200"],
+    ids=["linear-222", "local-222", "linear-422-200", "linear-222-scaled"],
 )
-def test_solver_arithmetic_is_pinned(u0, model, triple, max_iters, status, iterations, objective):
+def test_solver_arithmetic_is_pinned(
+    u0, model, triple, scale, max_iters, status, iterations, objective
+):
     # default data and settings; values recorded from the splitting iteration
     problem = build_problem(model, TruncationDegrees(*triple), u0)
+    problem = replace(problem, objective=scale * problem.objective)
     _, report = solve(problem, SolverSettings(max_iters=max_iters))
     assert (report.status, report.iterations) == (status, iterations)
     assert report.primal_objective == pytest.approx(objective, rel=1e-10)
@@ -349,6 +355,20 @@ def test_malformed_pivots_are_rejected(pivots, face):
     # one distinct integer column in range per equality row, or a ValueError
     with pytest.raises(ValueError, match="eq_pivots must be"):
         replace(rank_one_forcing_problem(), eq_pivots=pivots, zero_vars=face)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("eq_rhs", np.array([1.0]), "equality system shape mismatch"),
+        ("objective", np.ones(4), "objective length mismatch"),
+        ("blocks", [symmetric_variable_block(2, 4, {(0, 0): 0})], "coefficient shape mismatch"),
+    ],
+    ids=["equalities", "objective", "block"],
+)
+def test_malformed_shapes_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(rank_one_forcing_problem(), **{field: value})
 
 
 def test_singular_pivot_columns_are_rejected():
