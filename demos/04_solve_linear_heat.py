@@ -3,8 +3,10 @@
 The relaxation's decision variables are the occupation and terminal
 pseudo-moments; initial moments are data.  Linear moment equations tie the
 three groups together, three Hermitian blocks (moment, localizing and
-terminal matrices, real-embedded) must be PSD, and the sum of the moment
-and terminal traces is minimized to keep the pseudo-moments from growing.
+terminal matrices) must be PSD, and the sum of the moment and terminal
+traces is minimized to keep the pseudo-moments from growing.  Each block H
+enters the solver as the real symmetric K = V*HV of the same size and
+spectrum, V a fixed unitary of the reflection a -> -a of its basis.
 
 The embedded solver eliminates the equalities once, writing x = x0 + Z z
 with one sparse LU of Z^T A^T A Z per solve, so equalities hold to roundoff
@@ -34,7 +36,7 @@ for triple in [(2, 2, 2), (4, 2, 2)]:
     deg = TruncationDegrees(*triple)
     problem = build_problem(Linear(), deg, u0)
     print(f"\ndegrees {triple}: {problem.num_vars} variables, "
-          f"{problem.num_eq} equalities, embedded block sizes "
+          f"{problem.num_eq} equalities, real block sizes "
           f"{[b.size for b in problem.blocks]}")
     start = time.perf_counter()
     x, report = solve(problem)

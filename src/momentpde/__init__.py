@@ -52,7 +52,6 @@ from .relaxation import (
     build_problem,
     embed_tables,
     extract_pseudomoments,
-    hermitian_embedding,
     localizing_matrix,
     moment_matrix,
     terminal_matrix,

@@ -30,9 +30,11 @@ import numpy as np
 from .indices import (
     MomentIndex,
     TruncationDegrees,
+    basis_monomials,
     canonical_counts,
     count_freqs,
     enumerate_moment_vector,
+    is_canonical,
     mode_counts,
     moment_keys,
 )
@@ -91,7 +93,7 @@ class InitialData:
             if not cmath.isfinite(v):
                 raise ValueError(f"initial coefficient at mode {n} is not finite: {v}")
             mirror = self.coeffs.get(-n, 0j)
-            if abs(mirror - v.conjugate()) > 1e-12 * max(1.0, abs(v)):
+            if abs(mirror - v.conjugate()) > 1e-12 * max(abs(v), abs(mirror)):
                 raise ValueError(
                     f"initial data is not conjugate-symmetric at mode {n}: "
                     f"u[{-n}]={mirror} vs conj(u[{n}])={v.conjugate()}"
@@ -125,10 +127,11 @@ def initial_moment(u0: InitialData, idx: MomentIndex) -> complex:
 
 
 def initial_table(u0: InitialData, deg: TruncationDegrees) -> MomentTable:
-    """Table of the initial Dirac over the whole truncation."""
-    return MomentTable.from_function(
-        lambda idx: initial_moment(u0, idx), enumerate_moment_vector(deg)
-    )
+    """Table of the initial Dirac over the whole truncation, one entry per
+    canonical moment in the order of the moment vector."""
+    first = [idx for idx in basis_monomials(0, deg.algebraic, deg.harmonic) if is_canonical(idx)]
+    moments = (MomentIndex(ell, idx.freqs) for ell in range(deg.time + 1) for idx in first)
+    return MomentTable({idx: initial_moment(u0, idx) for idx in moments})
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,14 @@ basis[r] times conjugated basis[c]; the moment blocks have the single term
 (0, +1) and the localizer (1, +1), (2, -1), i.e. t - t^2.  The same spec
 yields the numeric Hermitian matrix of a moment table and the affine map of
 the solver's block, built from the upper triangle with the lower triangle
-as its conjugate.  Each Hermitian block H = A + iB is embedded as the real
-symmetric block [[A, -B], [B, A]] of doubled size, which has the same
-eigenvalues with doubled multiplicity.  The objective is the sum of the
-Hermitian traces of the two moment blocks.
+as its conjugate.  The layout stores y[ell; -C] as the conjugate of
+y[ell; C], so every block has P H P = conj(H), P the reflection a -> -a of
+its basis (Gatermann and Parrilo, J. Pure Appl. Algebra 2004), and the
+solver's block is the real symmetric K = V* H V of the basis' size and H's
+spectrum, for every model and datum.  V = P conj(V) is e_r at a
+self-conjugate row r, and (e_r + e_s)/sqrt(2) at r and i(e_r - e_s)/sqrt(2)
+at s for a pair r < s = P r, so K's coefficients are +-1 and +-sqrt(2).
+The objective is the sum of the Hermitian traces of the two moment blocks.
 
 Assembly works on integer arrays, not on one ``MomentIndex`` per entry.  A
 mode multiset is a count row over the modes -h..h, and negating its modes
@@ -32,12 +36,12 @@ order of ``canonicalize``.  The bytes of the canonical int8 row [ell, count
 row] are the moment's key, and ``VariableLayout.lookup`` finds its slots by
 ``np.searchsorted`` in the layout's sorted keys.  ``build_problem`` looks up
 the upper terms of each block spec once, and three readers share the terms
-and their slots: ``_embedded_block``, the only code that builds the
-embedding; the objective, 1.0 at the real slot of each diagonal term of a
-moment block; and ``_dead_face``.  The equality rows use the same lookup on
-the count rows of ``MomentEquations``.  The pivot of a row, the slot its
-recursion step solves for, comes from its test index (ell, C): the terminal
-moment (0, C) at ell = 0, else the occupation moment (ell - 1, C).
+and their slots: ``_real_block``, which builds K; the objective, 1.0 at the
+real slot of each diagonal term of a moment block; and ``_dead_face``.  The
+equality rows use the same lookup on the count rows of ``MomentEquations``.
+The pivot of a row, the slot its recursion step solves for, comes from its
+test index (ell, C): the terminal moment (0, C) at ell = 0, else the
+occupation moment (ell - 1, C).
 
 ``build_problem`` also records the dead-mode face, ``ConicProblem.zero_vars``:
 the moments that a certificate (see ``_dead_face``) shows to be zero on every
@@ -69,7 +73,7 @@ from .models import (
     MeasureTag,
     MomentEquations,
     generate_constraints,
-    initial_moment,
+    initial_table,
 )
 from .tables import MomentTable
 
@@ -229,12 +233,6 @@ class ConicProblem:
         return live, dropped
 
 
-def hermitian_embedding(h: np.ndarray) -> np.ndarray:
-    """Real symmetric [[A, -B], [B, A]] image of a Hermitian matrix A + iB."""
-    a, b = h.real, h.imag
-    return np.block([[a, -b], [b, a]])
-
-
 MOMENT = ((0, 1),)
 LOCALIZER = ((1, 1), (2, -1))  # weight t(1 - t) = t - t^2
 
@@ -290,35 +288,42 @@ def block_specs(deg: TruncationDegrees) -> tuple[BlockSpec, BlockSpec, BlockSpec
     )
 
 
-def _embedded_block(
+def _real_block(
     spec: BlockSpec, terms: tuple[np.ndarray, ...], slots: tuple[np.ndarray, ...], num_vars: int
 ) -> Block:
-    """The spec's block as an affine map into its real embedding."""
+    """The spec's block as an affine map into K = V* H V (module docstring)."""
     m = len(spec.basis)
-    size = 2 * m
-    # Per upper-triangle term, H = A + iB gains sign in A through the real
-    # slot and sign * conj in B through the imaginary slot, if there is one.
-    r, c, sign, _, _ = terms
-    real, imag, conj = slots
-    present = np.column_stack([np.ones(len(imag), dtype=bool), imag >= 0]).ravel()
-    r, c = np.repeat(r, 2)[present], np.repeat(c, 2)[present]
-    var = np.column_stack([real, imag]).ravel()[present]
-    a = np.column_stack([sign, np.zeros_like(sign)]).ravel()[present].astype(float)
-    b = np.column_stack([np.zeros_like(sign), sign * conj]).ravel()[present].astype(float)
-    low = r < c  # mirrored below the diagonal as the conjugate
-    r, c = np.concatenate([r, c[low]]), np.concatenate([c, r[low]])
-    var = np.concatenate([var, var[low]])
-    a, b = np.concatenate([a, a[low]]), np.concatenate([b, -b[low]])
-    # [[A, -B], [B, A]]
-    rows = np.concatenate([r, m + r, r, m + r])
-    cols = np.concatenate([c, m + c, m + c, c])
-    vals = np.concatenate([a, a, -b, b])
-    keep = vals != 0.0
+    row = {b: i for i, b in enumerate(spec.basis)}
+    mirror = np.array([row[MomentIndex(b.time_degree, [-n for n in b.freqs])] for b in spec.basis])
+    # Per upper-triangle term, H gains sign through the real slot and
+    # i * sign * conj through the imaginary slot, if there is one.
+    (r, c, sign, _, _), (real, imag, conj) = terms, slots
+    has_imag = imag >= 0
+    r, c = np.concatenate([r, r[has_imag]]), np.concatenate([c, c[has_imag]])
+    var = np.concatenate([real, imag[has_imag]])
+    h = np.concatenate([sign, 1j * (sign * conj)[has_imag]])
+    # V = W S with S = 1/sqrt(2) on pair columns: row j of W holds 1 at
+    # column min(j, Pj) and i sign(Pj - j) at max(j, Pj), 0 on a self row.
+    # K[p, q] sums the real parts of conj(W[j, p]) W[k, q] H[j, k]; the
+    # conjugate H[c, r] below the diagonal adds the same to K[q, p].
+    turn = np.sign(mirror - np.arange(m))
+    col = np.sort([np.arange(m), mirror], axis=0)
+    w = np.stack([np.ones(m), 1j * turn])
+    pos, cols, vals = [], [], []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        value = (w[a, r].conj() * w[b, c] * h).real
+        keep = value != 0.0
+        p, q, low = col[a, r[keep]], col[b, c[keep]], r[keep] < c[keep]
+        # exact: the scale is never a product of rounded square roots
+        value = value[keep] * np.array([1.0, np.sqrt(0.5), 0.5])[abs(turn[p]) + abs(turn[q])]
+        pos += [p * m + q, (q * m + p)[low]]
+        cols += [var[keep], var[keep][low]]
+        vals += [value, value[low]]
     coeffs = sp.coo_matrix(
-        (vals[keep], (rows[keep] * size + cols[keep], np.tile(var, 4)[keep])),
-        shape=(size * size, num_vars),
-    ).tocsr()
-    return Block(name=spec.name, size=size, coeffs=coeffs, const=np.zeros(size * size))
+        (np.concatenate(vals), (np.concatenate(pos), np.concatenate(cols))),
+        shape=(m * m, num_vars),
+    ).tocsr()  # a variable's contributions to one entry are equal: none cancels
+    return Block(name=spec.name, size=m, coeffs=coeffs, const=np.zeros(m * m))
 
 
 def _equalities(
@@ -445,7 +450,7 @@ def build_problem(
     specs = block_specs(deg)
     terms = [spec.upper_terms() for spec in specs]
     slots = [layout.lookup(spec.measure, *t[3:]) for spec, t in zip(specs, terms)]
-    blocks = [_embedded_block(*args, n) for args in zip(specs, terms, slots)]
+    blocks = [_real_block(*args, n) for args in zip(specs, terms, slots)]
     moment_blocks = [(t, s) for spec, t, s in zip(specs, terms, slots) if spec.terms == MOMENT]
 
     # Objective: the Hermitian traces of the moment blocks, 1.0 at the real
@@ -454,14 +459,6 @@ def build_problem(
     for (r, c, *_), (real, *_) in moment_blocks:
         np.add.at(objective, real[r == c], 1.0)
 
-    # Initial moments are data: one entry per canonical moment, in slot order.
-    initial_table = MomentTable(
-        {
-            idx: initial_moment(u0, idx)
-            for measure, idx in layout.slots
-            if measure is MeasureTag.OCCUPATION
-        }
-    )
     model_name = type(model).__name__
     return ConicProblem(
         num_vars=n,
@@ -471,7 +468,7 @@ def build_problem(
         objective=objective,
         eq_pivots=eq_pivots,
         layout=layout,
-        initial_table=initial_table,
+        initial_table=initial_table(u0, deg),
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",
         zero_vars=_dead_face(equations, moment_blocks, u0, n),
     )

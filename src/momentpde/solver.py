@@ -40,9 +40,10 @@ _SOLVE_CHUNK = 16
 # Iterations between termination checks, and between penalty adaptations.
 _CHECK_EVERY = 25
 _ADAPT_EVERY = 500
-# Initial splitting penalty rho; residual balancing keeps it within
-# 1e-5..1e5 times this value.
-_PENALTY = 1.0
+# Initial splitting penalty rho, kept within 1e-5..1e5 times this value by
+# residual balancing.  2.0 because the real m x m blocks have half the squared
+# norms of the [[A, -B], [B, A]] embedding: this is its iteration at rho = 1.
+_PENALTY = 2.0
 _OVER_RELAXATION = 1.6
 # Relative change of the objective between checks that counts as stable.
 _REL_TOL = 1e-9

@@ -54,7 +54,6 @@ from momentpde.models import (
 from momentpde.relaxation import (
     build_problem,
     extract_pseudomoments,
-    hermitian_embedding,
     localizing_matrix,
     moment_matrix,
     terminal_matrix,
@@ -62,6 +61,7 @@ from momentpde.relaxation import (
 from momentpde.sdpa import export_sdpa, read_sdpa, to_sdpa_data
 from momentpde.solver import solve
 
+from test_relaxation import PHASES
 from test_sdpa import same_data
 from test_solver import min_trace_completion_problem, rank_one_forcing_problem
 
@@ -230,15 +230,27 @@ def test_property_suites(tmp_path):
         else:
             canon_ok &= flipped.conjugated != canon.conjugated
 
-    # Hermitian embedding: spectrum doubling on 100 random Hermitian matrices
+    # real blocks: every build_problem block has the spectrum of its numeric
+    # Hermitian block, on seeded pseudo-moments, for all three models and on
+    # data that are real or carry unrelated phases on modes 1 and 2
     np_rng = np.random.default_rng(99)
-    embed_err = 0.0
-    for _ in range(100):
-        a = np_rng.normal(size=(8, 8)) + 1j * np_rng.normal(size=(8, 8))
-        h = 0.5 * (a + a.conj().T)
-        ev_h = np.sort(np.repeat(np.linalg.eigvalsh(h), 2))
-        ev_e = np.sort(np.linalg.eigvalsh(hermitian_embedding(h)))
-        embed_err = max(embed_err, float(np.abs(ev_h - ev_e).max()))
+    block_err = 0.0
+    deg = TruncationDegrees(4, 4, 2)
+    for model in (Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1)):
+        for u0 in (U0, PHASES):
+            problem = build_problem(model, deg, u0)
+            x = np_rng.normal(size=problem.num_vars)
+            tables = extract_pseudomoments(problem, x)
+            occupation, terminal = tables[MeasureTag.OCCUPATION], tables[MeasureTag.TERMINAL]
+            numeric = {
+                "occupation_moment": moment_matrix(occupation, deg),
+                "occupation_localizing": localizing_matrix(occupation, deg),
+                "terminal_moment": terminal_matrix(terminal, deg),
+            }
+            for block in problem.blocks:
+                ev_h = np.linalg.eigvalsh(numeric[block.name])
+                ev_k = np.linalg.eigvalsh(block.matrix(x))
+                block_err = max(block_err, float(np.abs(ev_h - ev_k).max()))
 
     # time-weighted integral recursion against quadrature values
     rec_err = 0.0
@@ -266,7 +278,7 @@ def test_property_suites(tmp_path):
 
     ok = (
         canon_ok
-        and embed_err <= 1e-10
+        and block_err <= 1e-10
         and rec_err <= 1e-12
         and sdpa_ok
         and trivial_err <= 1e-6
@@ -274,7 +286,7 @@ def test_property_suites(tmp_path):
     assert report(
         "property-suites",
         ok,
-        f"canonicalization={canon_ok}, embedding err {embed_err:.1e}, "
+        f"canonicalization={canon_ok}, real-block spectrum err {block_err:.1e}, "
         f"recursion err {rec_err:.1e}, sdpa roundtrip={sdpa_ok}, "
         f"trivial SDP err {trivial_err:.1e}",
     )

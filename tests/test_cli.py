@@ -139,6 +139,11 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
     assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    # the symmetry tolerance is relative: a tiny coefficient needs its partner
+    path.write_text('{"initial": [[1, 1e-13, 0]]}')
+    with pytest.raises(ConfigError, match="not conjugate-symmetric"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     with pytest.raises(ConfigError):
         # forcing modes beyond the harmonic degree
         parse_config(

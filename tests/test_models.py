@@ -29,6 +29,12 @@ def test_initial_data_validation():
         InitialData({1: 1.0})  # missing conjugate partner
     with pytest.raises(ValueError):
         InitialData({1: 1 + 1j, -1: 1 + 1j})  # not conjugate-symmetric
+    # the tolerance is relative to the larger of u_n and u_-n, also below 1
+    for bad in ({1: 1e-13}, {1: 1e-13, -1: 2e-13}, {2: 1e-20j, -2: 1e-20j}):
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            InitialData(bad)
+    small = InitialData({1: 1e-13 + 2e-13j, -1: 1e-13 - 2e-13j})
+    assert small.coeff(-1) == small.coeff(1).conjugate()
     for bad in ({0: float("nan")}, {1: float("inf"), -1: float("inf")}):
         with pytest.raises(ValueError, match="not finite"):
             InitialData(bad)

@@ -23,11 +23,11 @@ from momentpde.models import (
 )
 from momentpde.relaxation import (
     Slot,
+    block_specs,
     build_layout,
     build_problem,
     embed_tables,
     extract_pseudomoments,
-    hermitian_embedding,
     localizing_matrix,
     moment_matrix,
     terminal_matrix,
@@ -93,9 +93,9 @@ def test_lookup_agrees_with_canonicalize(triple):
 def test_block_sizes_at_222(u0, deg222):
     problem = build_problem(Linear(), deg222, u0)
     by_name = {b.name: b for b in problem.blocks}
-    assert by_name["occupation_moment"].size == 24
-    assert by_name["occupation_localizing"].size == 12
-    assert by_name["terminal_moment"].size == 12
+    assert by_name["occupation_moment"].size == 12
+    assert by_name["occupation_localizing"].size == 6
+    assert by_name["terminal_moment"].size == 6
 
 
 def test_degrees_below_minimum_rejected(u0):
@@ -103,18 +103,6 @@ def test_degrees_below_minimum_rejected(u0):
         build_problem(Linear(), TruncationDegrees(0, 2, 2), u0)
     with pytest.raises(ValueError):
         build_problem(Linear(), TruncationDegrees(2, 0, 2), u0)
-
-
-def test_hermitian_embedding_spectrum_doubling():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = 0.5 * (a + a.conj().T)
-        embedded = hermitian_embedding(h)
-        assert np.abs(embedded - embedded.T).max() == 0
-        ev_h = np.sort(np.repeat(np.linalg.eigvalsh(h), 2))
-        ev_e = np.sort(np.linalg.eigvalsh(embedded))
-        assert np.abs(ev_h - ev_e).max() <= 1e-10
 
 
 def test_analytic_witness_is_feasible(u0, deg222):
@@ -143,10 +131,38 @@ def random_tables(deg, seed):
     return tables
 
 
+def reflection_unitary(basis):
+    """The unitary V with conj(V) = P V, P the reflection a -> -a of a basis:
+    e_r on a self-conjugate row r; (e_r + e_s)/sqrt 2 at column r and
+    i (e_r - e_s)/sqrt 2 at column s for a pair r < s."""
+    position = {b: i for i, b in enumerate(basis)}
+    v = np.zeros((len(basis), len(basis)), dtype=complex)
+    for r, b in enumerate(basis):
+        s = position[MomentIndex(b.time_degree, tuple(-n for n in b.freqs))]
+        if s == r:
+            v[r, r] = 1.0
+        elif r < s:
+            v[[r, s], r] = 1 / np.sqrt(2)
+            v[[r, s], s] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return v
+
+
+# modes +-1 and +-2 with unrelated phases: u_2 / u_1^2 is not real, so no
+# translation makes the datum real
+PHASES = InitialData(
+    {
+        1: 0.8 * np.exp(0.7j), -1: 0.8 * np.exp(-0.7j),
+        2: 0.5 * np.exp(2.1j), -2: 0.5 * np.exp(-2.1j),
+    }
+)
+
+
+@pytest.mark.parametrize("datum", ["default", "phases"])
 @pytest.mark.parametrize("source", ["analytic", "random"])
 @pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)
 @pytest.mark.parametrize("model", MODELS, ids=["linear", "distributed", "local"])
-def test_embedded_blocks_match_numeric_hermitian_blocks(u0, model, triple, source):
+def test_real_blocks_match_numeric_hermitian_blocks(u0, model, triple, source, datum):
+    u0 = u0 if datum == "default" else PHASES
     deg = TruncationDegrees(*triple)
     problem = build_problem(model, deg, u0)
     tables = analytic_tables(u0, deg) if source == "analytic" else random_tables(deg, 5)
@@ -156,8 +172,21 @@ def test_embedded_blocks_match_numeric_hermitian_blocks(u0, model, triple, sourc
         "occupation_localizing": localizing_matrix(tables[MeasureTag.OCCUPATION], deg),
         "terminal_moment": terminal_matrix(tables[MeasureTag.TERMINAL], deg),
     }
-    for block in problem.blocks:
-        assert np.abs(block.matrix(x) - hermitian_embedding(numeric[block.name])).max() <= 1e-12
+    specs = block_specs(deg)
+    assert [b.name for b in problem.blocks] == [spec.name for spec in specs]
+    for block, spec in zip(problem.blocks, specs):
+        h, v = numeric[block.name], reflection_unitary(spec.basis)
+        assert np.abs(v @ v.conj().T - np.eye(len(v))).max() <= 1e-15
+        # one real symmetric block of the basis' size with H = V K V*
+        assert block.size == len(spec.basis) and not block.diagonal
+        k = block.matrix(x)
+        assert k.dtype == float and np.array_equal(k, k.T)
+        assert np.abs(v @ k @ v.conj().T - h).max() <= 1e-12
+        spectrum = np.linalg.eigvalsh(h)
+        scale = max(1.0, abs(spectrum).max())
+        assert np.abs(np.linalg.eigvalsh(k) - spectrum).max() <= 1e-12 * scale
+        # the coefficients are exact: no rounded product of square roots
+        assert np.isin(np.abs(block.coeffs.data), [1.0, np.sqrt(2.0)]).all()
     # Both sides read one spec, so check a localizer entry written out by
     # hand: row 1, column u_1 is y[1; -1] - y[2; -1] (weight t - t^2).
     occupation = tables[MeasureTag.OCCUPATION]
