@@ -18,8 +18,11 @@ alternates
      iterates are low-rank, so that is few pairs);
   3. a scaled dual update U_b.
 
-Equality residuals sit at roundoff.  Over-relaxation with a fixed factor
-speeds up the consensus.  Everything is deterministic.
+The penalty starts at the ratio of the objective's scale to the moments'
+(``initial_penalty``) and moves only by residual balancing; the report gives
+its first and last value.  Equality residuals sit at roundoff.
+Over-relaxation with a fixed factor speeds up the consensus.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ _SOLVE_CHUNK = 16
 # Iterations between termination checks, and between penalty adaptations.
 _CHECK_EVERY = 25
 _ADAPT_EVERY = 500
-# Initial splitting penalty rho, kept within 1e-5..1e5 times this value by
-# residual balancing.  2.0 because the real m x m blocks have half the squared
-# norms of the [[A, -B], [B, A]] embedding: this is its iteration at rho = 1.
+# The splitting penalty when ``initial_penalty`` has no finite positive ratio
+# to start from.  Residual balancing keeps rho within 1e-5..1e5 times its start.
 _PENALTY = 2.0
 _OVER_RELAXATION = 1.6
 # Relative change of the objective between checks that counts as stable.
@@ -75,6 +77,8 @@ class SolveReport:
     max_equality_residual: float
     min_block_eigenvalue: float
     iterations: int
+    penalty_start: float  # rho at the first iteration
+    penalty_end: float  # rho at the last, after residual balancing
 
     def as_dict(self) -> dict:
         """Every field, in declaration order."""
@@ -138,6 +142,25 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
+def initial_penalty(problem: ConicProblem) -> float:
+    """The splitting penalty the solver starts from: 4 |c|_inf over the
+    largest of |f|_inf and the blocks' |d_b|_inf, or _PENALTY when that is
+    not finite and positive.
+
+    The z-step reads c only as c / rho, so with this start the iterates do
+    not depend on the scale of the objective; the denominator follows the
+    scale of the moments.  4, not more: at (2,2,2) LocalQuadratic(0.1)
+    certifies in 325 iterations at rho = 8 and in 5,950 at 16.
+    """
+    scale = max(
+        [np.abs(problem.eq_rhs).max(initial=0.0)]
+        + [np.abs(b.const).max(initial=0.0) for b in problem.blocks]
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = 4.0 * np.abs(problem.objective).max(initial=0.0) / scale
+    return float(rho) if np.isfinite(rho) and rho > 0 else _PENALTY
+
+
 def _blocks_on_face(problem: ConicProblem) -> tuple[list[Block], np.ndarray, bool]:
     """The blocks restricted to their rows that are not identically zero on
     the face, a full block to the same rows and columns; the live variables;
@@ -165,7 +188,7 @@ def solve(
     settings = settings or SolverSettings()
     blocks, live, dropped = _blocks_on_face(problem)
     n = problem.num_vars
-    rho = _PENALTY
+    rho = rho_start = initial_penalty(problem)
 
     a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
     d_all = (
@@ -259,10 +282,10 @@ def solve(
 
         if adapt:
             # Residual balancing; the scaled duals U = Lambda / rho follow rho.
-            if primal > 10 * dual and rho < 1e5 * _PENALTY:
+            if primal > 10 * dual and rho < 1e5 * rho_start:
                 rho *= 2.0
                 u_all /= 2.0
-            elif dual > 10 * primal and rho > 1e-5 * _PENALTY:
+            elif dual > 10 * primal and rho > 1e-5 * rho_start:
                 rho /= 2.0
                 u_all *= 2.0
 
@@ -273,5 +296,7 @@ def solve(
         max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
         min_block_eigenvalue=min_block_eig(v_all),
         iterations=iterations,
+        penalty_start=rho_start,
+        penalty_end=rho,
     )
     return x, report

@@ -168,12 +168,15 @@ def test_solve_subcommand(tmp_path, capsys):
     assert report["status"] == "optimal"
     assert report["max_equality_residual"] <= 1e-6
     assert report["degrees"] == [2, 2, 2]
+    assert report["penalty_start"] == report["penalty_end"] == 8.0
     assert list(report) == [
         "status",
         "primal_objective",
         "max_equality_residual",
         "min_block_eigenvalue",
         "iterations",
+        "penalty_start",
+        "penalty_end",
         "runtime_seconds",
         "degrees",
         "model",

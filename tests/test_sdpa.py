@@ -100,6 +100,8 @@ def test_reconstructed_heat_solve_matches_embedded(tmp_path, u0, deg222):
     assert from_file.primal_objective == pytest.approx(
         direct.primal_objective, rel=1e-5
     )
+    # the file's equalities become the block constants [-f; f]: same start
+    assert from_file.penalty_start == direct.penalty_start
 
 
 def test_reconstructed_heat_solve_matches_interior_point(tmp_path, u0, deg222):

@@ -9,7 +9,7 @@ from momentpde import solver
 from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
-from momentpde.solver import _PENALTY, SolverSettings, null_space, project_psd, solve
+from momentpde.solver import SolverSettings, initial_penalty, null_space, project_psd, solve
 
 NO_FACE = np.zeros(0, dtype=np.int64)
 
@@ -165,27 +165,76 @@ def test_solver_is_deterministic():
     assert ra.iterations == rb.iterations
 
 
+def scaled_by(scale):
+    return lambda problem: scale * problem.objective
+
+
+def trace_plus_mass(scale):
+    """scale times the trace objective, with the coefficient of the
+    occupation mass y[0; ()] (variable 0, fixed by the equalities) set back
+    to 1: the same minimizers as the scaled trace, but |c|_inf stays 1."""
+
+    def objective(problem):
+        c = scale * problem.objective
+        c[0] = 1.0
+        return c
+
+    return objective
+
+
 @pytest.mark.parametrize(
-    "model, triple, scale, max_iters, status, iterations, objective",
+    "model, triple, objective, max_iters, status, iterations, objective_value, penalty",
     [
-        (Linear(), (2, 2, 2), 1.0, 50000, "optimal", 650, 5.959644251461846),
-        (LocalQuadratic(0.1), (2, 2, 2), 1.0, 50000, "optimal", 575, 7.188158484655687),
-        (Linear(), (4, 2, 2), 1.0, 200, "max_iters", 200, 6.432535143240761),
-        # the small objective doubles the penalty at iteration 500 and halves
-        # it at 1,000 and 1,500
-        (Linear(), (2, 2, 2), 1e-4, 50000, "optimal", 2225, 5.959644370001753e-4),
+        (Linear(), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 225, 5.959644256173723, (8.0, 8.0)),
+        (
+            LocalQuadratic(0.1), (2, 2, 2), scaled_by(1.0), 50000,
+            "optimal", 325, 7.18815847090775, (8.0, 8.0),
+        ),
+        (Linear(), (4, 2, 2), scaled_by(1.0), 200, "max_iters", 200, 6.438261310218957, (8.0, 8.0)),
+        (
+            Linear(), (2, 2, 2), scaled_by(1e-4), 50000,
+            "optimal", 150, 5.959644158200202e-4, (8e-4, 8e-4),
+        ),
+        # the start, 4, is 5,000 times the scaled trace's own (8e-4):
+        # residual balancing doubles it at iteration 500 and halves it at
+        # 1,000, 1,500 and 2,000
+        (
+            Linear(), (2, 2, 2), trace_plus_mass(1e-4), 50000,
+            "optimal", 2375, 1.0004959645397329, (4.0, 1.0),
+        ),
     ],
-    ids=["linear-222", "local-222", "linear-422-200", "linear-222-scaled"],
+    ids=["linear-222", "local-222", "linear-422-200", "linear-222-scaled", "linear-222-mass"],
 )
 def test_solver_arithmetic_is_pinned(
-    u0, model, triple, scale, max_iters, status, iterations, objective
+    u0, model, triple, objective, max_iters, status, iterations, objective_value, penalty
 ):
     # default data and settings; values recorded from the splitting iteration
     problem = build_problem(model, TruncationDegrees(*triple), u0)
-    problem = replace(problem, objective=scale * problem.objective)
+    problem = replace(problem, objective=objective(problem))
     _, report = solve(problem, SolverSettings(max_iters=max_iters))
     assert (report.status, report.iterations) == (status, iterations)
-    assert report.primal_objective == pytest.approx(objective, rel=1e-10)
+    assert report.primal_objective == pytest.approx(objective_value, rel=1e-10)
+    assert (report.penalty_start, report.penalty_end) == pytest.approx(penalty, rel=1e-15)
+
+
+@pytest.mark.parametrize("model", [Linear(), LocalQuadratic(0.1)], ids=["linear", "local-0.1"])
+def test_iterates_do_not_depend_on_the_objective_scale(u0, deg222, model):
+    # the start scales with |c|_inf, so c / rho and every iterate are the same
+    problem = build_problem(model, deg222, u0)
+    scaled = replace(problem, objective=1e-4 * problem.objective)
+    x, report = solve(problem, SolverSettings(max_iters=100))
+    x_scaled, report_scaled = solve(scaled, SolverSettings(max_iters=100))
+    assert report.iterations == report_scaled.iterations == 100
+    assert report_scaled.penalty_start == pytest.approx(1e-4 * report.penalty_start, rel=1e-15)
+    assert np.abs(x_scaled - x).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_initial_penalty_falls_back_when_not_finite_and_positive():
+    problem = min_trace_completion_problem()
+    assert initial_penalty(problem) == 4.0  # 4 |c|_inf / |f|_inf
+    for objective in (np.zeros(3), np.array([1.0, np.nan, 1.0]), np.array([1e308, 0.0, 1.0])):
+        assert initial_penalty(replace(problem, objective=objective)) == solver._PENALTY
+    assert initial_penalty(replace(problem, eq_rhs=np.zeros(1))) == solver._PENALTY
 
 
 @pytest.mark.parametrize(
@@ -295,7 +344,7 @@ def test_first_x_step_matches_dense_kkt_solve(u0, deg222, model):
     # rows repeat the equality rows on zero variables only: a consistent,
     # singular KKT system, with x unique.
     problem = build_problem(model, deg222, u0)
-    rho = _PENALTY
+    rho = initial_penalty(problem)
     x, _ = solve(problem, SolverSettings(max_iters=1))
     a = np.vstack([b.coeffs.toarray() for b in problem.blocks])
     d = np.concatenate([b.const for b in problem.blocks])
