@@ -42,7 +42,6 @@ from .models import (
     MomentEquations,
     constraint_residual,
     generate_constraints,
-    initial_moment,
 )
 from .relaxation import (
     Block,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .indices import MomentIndex, TruncationDegrees, enumerate_moment_vector
+from .indices import MomentIndex, TruncationDegrees, enumerate_moment_vector, is_canonical
 from .models import InitialData, MeasureTag, initial_table
 from .tables import MomentTable
 
@@ -61,13 +61,13 @@ def analytic_tables(
     u0: InitialData, deg: TruncationDegrees
 ) -> dict[MeasureTag, MomentTable]:
     """Initial/terminal/occupation tables over the whole truncation."""
-    indices = enumerate_moment_vector(deg)
+    indices = [idx for idx in enumerate_moment_vector(deg) if is_canonical(idx)]
     return {
         MeasureTag.INITIAL: initial_table(u0, deg),
-        MeasureTag.TERMINAL: MomentTable.from_function(
-            lambda idx: analytic_terminal_moment(u0, idx), indices
+        MeasureTag.TERMINAL: MomentTable.from_moments(
+            {idx: analytic_terminal_moment(u0, idx) for idx in indices}
         ),
-        MeasureTag.OCCUPATION: MomentTable.from_function(
-            lambda idx: analytic_occupation_moment(u0, idx), indices
+        MeasureTag.OCCUPATION: MomentTable.from_moments(
+            {idx: analytic_occupation_moment(u0, idx) for idx in indices}
         ),
     }

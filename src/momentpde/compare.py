@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .tables import MissingMomentError, MomentTable
 
 # Guard for zero reference moments in the relative-error denominator.
@@ -11,8 +13,9 @@ RELERR_FLOOR = 1e-12
 THRESHOLDS = tuple(10.0**-k for k in range(1, 9))
 
 
-def relative_error(value: complex, reference: complex) -> float:
-    return abs(value - reference) / max(abs(reference), RELERR_FLOOR)
+def relative_error(value, reference):
+    """|value - reference| / max(|reference|, RELERR_FLOOR), elementwise."""
+    return np.abs(value - reference) / np.maximum(np.abs(reference), RELERR_FLOOR)
 
 
 def matching_percentages(
@@ -22,16 +25,15 @@ def matching_percentages(
 
     The reference must cover every index of the computed table.
     """
-    errors = []
-    for idx, value in computed.items():
-        try:
-            ref = reference.get(idx)
-        except MissingMomentError:
-            raise MissingMomentError(idx, measure="reference") from None
-        errors.append(relative_error(value, ref))
+    moments = computed.moments
+    try:
+        ref = reference.lookup(moments.ell, moments.counts)
+    except MissingMomentError as exc:
+        raise MissingMomentError(exc.index, measure="reference") from None
+    errors = relative_error(computed.values, ref)
     total = len(errors)
     rows = []
     for tau in THRESHOLDS:
-        matched = sum(1 for e in errors if e <= tau)
+        matched = int((errors <= tau).sum())
         rows.append((tau, matched, total, 100.0 * matched / total if total else 0.0))
     return rows

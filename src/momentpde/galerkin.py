@@ -138,15 +138,14 @@ def trajectory_moments(
             products[freqs] = series
         return series
 
-    occupation = MomentTable()
-    terminal = MomentTable()
+    occupation, terminal = {}, {}
     for idx in enumerate_moment_vector(deg):
         if not is_canonical(idx):
             continue
         series = product_series(idx.freqs)
-        occupation.set(idx, complex(simpson(t_powers[idx.time_degree] * series, x=times)))
-        terminal.set(idx, complex(series[-1]))
-    return occupation, terminal
+        occupation[idx] = complex(simpson(t_powers[idx.time_degree] * series, x=times))
+        terminal[idx] = complex(series[-1])
+    return MomentTable.from_moments(occupation), MomentTable.from_moments(terminal)
 
 
 def oracle_tables(

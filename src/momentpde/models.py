@@ -28,17 +28,14 @@ from typing import Mapping, Union
 import numpy as np
 
 from .indices import (
-    MomentIndex,
     TruncationDegrees,
     basis_monomials,
     canonical_counts,
     count_freqs,
     enumerate_moment_vector,
-    is_canonical,
     mode_counts,
-    moment_keys,
 )
-from .tables import MissingMomentError, MomentTable
+from .tables import MissingMomentError, MomentKeys, MomentTable
 
 
 class MeasureTag(enum.Enum):
@@ -121,17 +118,16 @@ class InitialData:
         return cls({-1: 1.0, 0: 1.0, 1: 1.0})
 
 
-def initial_moment(u0: InitialData, idx: MomentIndex) -> complex:
-    """Moment of the initial Dirac: zero for ell > 0, else the coefficient product."""
-    return 0j if idx.time_degree > 0 else u0.product(idx.freqs)
-
-
 def initial_table(u0: InitialData, deg: TruncationDegrees) -> MomentTable:
     """Table of the initial Dirac over the whole truncation, one entry per
     canonical moment in the order of the moment vector."""
-    first = [idx for idx in basis_monomials(0, deg.algebraic, deg.harmonic) if is_canonical(idx)]
-    moments = (MomentIndex(ell, idx.freqs) for ell in range(deg.time + 1) for idx in first)
-    return MomentTable({idx: initial_moment(u0, idx) for idx in moments})
+    h = deg.harmonic
+    first = mode_counts([idx.freqs for idx in basis_monomials(0, deg.algebraic, h)], h)
+    first = first[~canonical_counts(first)[1]]
+    values = np.zeros((deg.time + 1, len(first)), dtype=complex)
+    values[0] = [u0.product(freqs) for freqs in count_freqs(first, h)]
+    ell = np.repeat(np.arange(deg.time + 1), len(first))
+    return MomentTable(MomentKeys(ell, np.tile(first, (deg.time + 1, 1))), values.ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,24 +235,14 @@ def constraint_residual(
 ) -> float:
     """Max absolute violation of the equations by the given moment tables."""
 
-    def values(ell: np.ndarray, counts: np.ndarray, *measures: MeasureTag) -> list[np.ndarray]:
-        """Each measure's moments at (ell, counts), one table lookup per distinct moment."""
-        keys = moment_keys(ell, counts)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        freqs = count_freqs(counts[first], equations.harmonic)
-        indices = [MomentIndex(e, f) for e, f in zip(ell[first].tolist(), freqs)]
-        out = []
-        for measure in measures:
-            try:
-                found = [tables[measure].get(idx) for idx in indices]
-            except MissingMomentError as exc:
-                raise MissingMomentError(exc.index, measure=measure.value) from None
-            out.append(np.array(found, dtype=complex)[inverse])
-        return out
+    def values(measure: MeasureTag, ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        try:
+            return tables[measure].lookup(ell, counts)
+        except MissingMomentError as exc:
+            raise MissingMomentError(exc.index, measure=measure.value) from None
 
     test = (equations.test_ell, equations.test_counts)
-    terminal, initial = values(*test, MeasureTag.TERMINAL, MeasureTag.INITIAL)
-    (occupation,) = values(equations.ell, equations.counts, MeasureTag.OCCUPATION)
-    residual = terminal - initial
+    residual = values(MeasureTag.TERMINAL, *test) - values(MeasureTag.INITIAL, *test)
+    occupation = values(MeasureTag.OCCUPATION, equations.ell, equations.counts)
     np.add.at(residual, equations.eq, equations.coeff * occupation)
     return float(np.abs(residual).max(initial=0.0))

@@ -32,13 +32,15 @@ reverses the row, so entry (r, c) has time degree th_r + th_c + shift and
 count row C_r + reversed(C_c).  The moment is conjugated (its value is the
 conjugate of the stored representative's) exactly when the reversed row is
 larger at the first mode where the row and its reverse differ; this is the
-order of ``canonicalize``.  The bytes of the canonical int8 row [ell, count
-row] are the moment's key, and ``VariableLayout.lookup`` finds its slots by
-``np.searchsorted`` in the layout's sorted keys.  ``build_problem`` looks up
-the upper terms of each block spec once, and three readers share the terms
-and their slots: ``_real_block``, which builds K; the objective, 1.0 at the
-real slot of each diagonal term of a moment block; and ``_dead_face``.  The
-equality rows use the same lookup on the count rows of ``MomentEquations``.
+order of ``canonicalize``.  The layout holds each measure's moments as a
+``tables.MomentKeys`` in slot order: ``VariableLayout.lookup`` finds slots by
+the key search by which a ``MomentTable`` finds values, and extraction,
+embedding and ``hermitian_matrix`` are one table lookup each.
+``build_problem`` looks up the upper terms of each block spec once, and
+three readers share the terms and their slots: ``_real_block``, which builds
+K; the objective, 1.0 at the real slot of each diagonal term of a moment
+block; and ``_dead_face``.  The equality rows use the same lookup on the
+count rows of ``MomentEquations``, and the initial table for their constants.
 The pivot of a row, the slot its recursion step solves for, comes from its
 test index (ell, C): the terminal moment (0, C) at ell = 0, else the
 occupation moment (ell - 1, C).
@@ -52,6 +54,7 @@ the equalities; the SDPA export and extraction see the whole problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,7 +68,6 @@ from .indices import (
     enumerate_matrix_basis,
     enumerate_moment_vector,
     mode_counts,
-    moment_keys,
 )
 from .models import (
     HeatModel,
@@ -75,7 +77,7 @@ from .models import (
     generate_constraints,
     initial_table,
 )
-from .tables import MomentTable
+from .tables import MissingMomentError, MomentKeys, MomentTable
 
 
 @dataclass(frozen=True)
@@ -88,35 +90,41 @@ class Slot:
 class VariableLayout:
     """Slot assignment for the decision pseudo-moments of one truncation.
 
-    ``keys`` holds, per measure, the sorted ``moment_keys`` of its canonical
-    moments with the real and imaginary slot of each (imaginary -1 when the
-    moment is forced real); ``lookup`` resolves moments through it.
+    ``moments`` holds, per measure, its canonical moments in slot order with
+    the real and imaginary slot of each (imaginary -1 when the moment is
+    forced real); ``lookup`` resolves moments through it.
     """
 
     degrees: TruncationDegrees
-    slots: dict[tuple[MeasureTag, MomentIndex], Slot]
     num_vars: int
-    keys: dict[MeasureTag, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+    moments: dict[MeasureTag, tuple[MomentKeys, np.ndarray, np.ndarray]] = field(repr=False)
 
     def lookup(
         self, measure: MeasureTag, ell: np.ndarray, counts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real slots, imaginary slots (-1 if forced real) and the sign of the
         imaginary part, -1 where the moment is the conjugate of its slot's."""
-        canon, conjugated = canonical_counts(counts)
+        moments, real, imag = self.moments[measure]
         if measure is MeasureTag.TERMINAL:
             ell = np.zeros_like(ell)  # terminal moments alias the ell = 0 slot
-        query = moment_keys(ell, canon)
-        keys, real, imag = self.keys[measure]
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        missing = np.flatnonzero(keys[pos] != query)
-        if len(missing):
-            i = missing[0]
-            (freqs,) = count_freqs(counts[i : i + 1], self.degrees.harmonic)
-            raise ValueError(
-                f"{measure.value} moment {MomentIndex(int(ell[i]), freqs)} has no slot"
-            )
-        return real[pos], imag[pos], np.where(conjugated, -1, 1)
+        try:
+            rows, conjugated = moments.find(ell, counts)
+        except MissingMomentError as exc:
+            raise ValueError(f"{measure.value} moment {exc.index} has no slot") from None
+        return real[rows], imag[rows], np.where(conjugated, -1, 1)
+
+    @cached_property
+    def slots(self) -> dict[tuple[MeasureTag, MomentIndex], Slot]:
+        """Slot of each (measure, canonical index), built on first read.  The
+        package does not read it; the benchmark's checks do, until ROADMAP
+        item 7's benchmark-only change moves them to ``lookup`` and retires
+        ``slots`` and ``Slot``."""
+        out = {}
+        for measure, (moments, real, imag) in self.moments.items():
+            freqs = count_freqs(moments.counts, self.degrees.harmonic)
+            for ell, f, re, im in zip(moments.ell.tolist(), freqs, real.tolist(), imag.tolist()):
+                out[(measure, MomentIndex(ell, f))] = Slot(re, None if im < 0 else im)
+        return out
 
 
 def build_layout(deg: TruncationDegrees) -> VariableLayout:
@@ -127,8 +135,7 @@ def build_layout(deg: TruncationDegrees) -> VariableLayout:
     _, conjugated = canonical_counts(counts)
     forced_real = (counts == counts[:, ::-1]).all(axis=1)
     occupation = np.flatnonzero(~conjugated)
-    slots: dict[tuple[MeasureTag, MomentIndex], Slot] = {}
-    keys = {}
+    moments = {}
     counter = 0
     for measure, rows in (
         (MeasureTag.OCCUPATION, occupation),
@@ -138,12 +145,8 @@ def build_layout(deg: TruncationDegrees) -> VariableLayout:
         real = counter + np.cumsum(width) - width
         imag = np.where(forced_real[rows], -1, real + 1)
         counter += int(width.sum())
-        for i, re, im in zip(rows.tolist(), real.tolist(), imag.tolist()):
-            slots[(measure, indices[i])] = Slot(re, None if im < 0 else im)
-        key = moment_keys(ell[rows], counts[rows])
-        order = np.argsort(key)
-        keys[measure] = (key[order], real[order], imag[order])
-    return VariableLayout(degrees=deg, slots=slots, num_vars=counter, keys=keys)
+        moments[measure] = (MomentKeys(ell[rows], counts[rows]), real, imag)
+    return VariableLayout(degrees=deg, num_vars=counter, moments=moments)
 
 
 @dataclass
@@ -327,7 +330,7 @@ def _real_block(
 
 
 def _equalities(
-    equations: MomentEquations, layout: VariableLayout, u0: InitialData
+    equations: MomentEquations, layout: VariableLayout, initial: MomentTable
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Equality matrix, right-hand side and pivot slot of each row.
 
@@ -354,9 +357,7 @@ def _equalities(
     eq.eliminate_zeros()
     nonempty = np.diff(eq.indptr) > 0
 
-    initial = np.flatnonzero(test_ell == 0)
-    f = np.zeros(m, dtype=complex)  # y^0, moved to the right
-    f[initial] = [u0.product(freqs) for freqs in count_freqs(test_counts[initial], h)]
+    f = initial.lookup(test_ell, test_counts)  # y^0, moved to the right
     rhs = np.column_stack([f.real, f.imag]).ravel()
 
     # The recursion solves for y^1[0; C] at ell = 0, else for y[ell - 1; C].
@@ -412,7 +413,7 @@ def _dead_face(
     dead = np.array([u0.coeff(k) == 0 for k in modes.tolist()])
     off_row = (equations.counts != equations.test_counts[equations.eq]).any(axis=1)
     clean = np.bincount(equations.eq[off_row], minlength=len(equations)) == 0
-    known = np.sort(moment_keys(equations.test_ell[clean], equations.test_counts[clean]))
+    known = MomentKeys(equations.test_ell[clean], equations.test_counts[clean])
     zero = np.zeros(num_vars, dtype=bool)
     for (r, c, _, ell, counts), (real, imag, _) in moment_blocks:
         # one term per entry, so the diagonal terms come in row order; their
@@ -420,9 +421,7 @@ def _dead_face(
         top, diagonal = ell[r == c], counts[r == c]
         certified = (diagonal[:, dead] > 0).any(axis=1) & (diagonal @ modes**2 > 0)
         for t in range(int(top.max()) + 1):
-            query = moment_keys(np.full(len(top), t), diagonal)
-            pos = np.minimum(np.searchsorted(known, query), len(known) - 1)
-            certified &= (known[pos] == query) | (t > top)
+            certified &= known.contains(np.full(len(top), t), diagonal) | (t > top)
         touched = certified[r] | certified[c]
         zero[real[touched]] = True
         zero[imag[touched & (imag >= 0)]] = True
@@ -445,7 +444,8 @@ def build_problem(
     layout = build_layout(deg)
     n = layout.num_vars
     equations = generate_constraints(model, deg, canonical_only=True)
-    eq, eq_rhs, eq_pivots = _equalities(equations, layout, u0)
+    initial = initial_table(u0, deg)
+    eq, eq_rhs, eq_pivots = _equalities(equations, layout, initial)
 
     specs = block_specs(deg)
     terms = [spec.upper_terms() for spec in specs]
@@ -468,7 +468,7 @@ def build_problem(
         objective=objective,
         eq_pivots=eq_pivots,
         layout=layout,
-        initial_table=initial_table(u0, deg),
+        initial_table=initial,
         description=f"{model_name} relaxation at degrees {deg.as_tuple()}",
         zero_vars=_dead_face(equations, moment_blocks, u0, n),
     )
@@ -479,11 +479,11 @@ def embed_tables(
 ) -> np.ndarray:
     """Write moment tables into a flat variable vector (inverse of extraction)."""
     x = np.zeros(layout.num_vars)
-    for (measure, idx), slot in layout.slots.items():
-        value = tables[measure].get(idx)
-        x[slot.real] = value.real
-        if slot.imag is not None:
-            x[slot.imag] = value.imag
+    for measure, (moments, real, imag) in layout.moments.items():
+        values = tables[measure].lookup(moments.ell, moments.counts)
+        has_imag = imag >= 0
+        x[real] = values.real
+        x[imag[has_imag]] = values.imag[has_imag]
     return x
 
 
@@ -498,18 +498,19 @@ def extract_pseudomoments(
         raise ValueError(
             f"solution vector has {len(x)} entries, problem expects {problem.num_vars}"
         )
-    occupation = MomentTable()
-    terminal = MomentTable()
-    out = {MeasureTag.OCCUPATION: occupation, MeasureTag.TERMINAL: terminal}
-    for (measure, idx), slot in layout.slots.items():
-        imag = 0.0 if slot.imag is None else x[slot.imag]
-        out[measure].set(idx, complex(x[slot.real], imag))
-    # Terminal moments alias across time degrees; fill the aliases for lookups
-    # that go through plain tables, in the order of the moment vector.
-    terminal_slots = list(terminal.items())
-    for ell in range(1, layout.degrees.time + 1):
-        for idx, value in terminal_slots:
-            terminal.set(MomentIndex(ell, idx.freqs), value)
+    out = {}
+    for measure, (moments, real, imag) in layout.moments.items():
+        has_imag = imag >= 0
+        values = np.zeros(len(moments), dtype=complex)
+        values.real = x[real]
+        values.imag[has_imag] = x[imag[has_imag]]
+        if measure is MeasureTag.TERMINAL:
+            # Terminal moments alias across time degrees: the table repeats
+            # the ell = 0 rows at ell = 1..T, for lookups through plain tables.
+            times = layout.degrees.time + 1
+            ell, counts = np.repeat(np.arange(times), len(moments)), moments.counts
+            moments, values = MomentKeys(ell, np.tile(counts, (times, 1))), np.tile(values, times)
+        out[measure] = MomentTable(moments, values)
     if problem.initial_table is not None:
         out[MeasureTag.INITIAL] = problem.initial_table
     return out
@@ -520,9 +521,7 @@ def hermitian_matrix(spec: BlockSpec, table: MomentTable) -> np.ndarray:
     m = len(spec.basis)
     h = np.zeros((m, m), dtype=complex)
     r, c, sign, ell, counts = spec.upper_terms()
-    freqs = count_freqs(counts, spec.harmonic)
-    for r, c, sign, ell, f in zip(r.tolist(), c.tolist(), sign.tolist(), ell.tolist(), freqs):
-        h[r, c] += sign * table.get(MomentIndex(ell, f))
+    np.add.at(h, (r, c), sign * table.lookup(ell, counts))
     lower = np.tril_indices(m)
     h[lower] = h.T[lower].conj()
     return h

@@ -226,6 +226,16 @@ def test_compare_csv_reference(tmp_path):
     ref.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
     assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 0
     assert (out / "accuracy.csv").read_bytes() == accuracy
+    # a reference from a larger truncation (more modes, so wider count rows)
+    # grades the same as the analytic reference of the solve's own truncation
+    (tmp_path / "big").mkdir()
+    big = write_config(tmp_path / "big", degrees=[4, 4, 4], output_dir=str(tmp_path / "big"))
+    assert main(["oracle", "--config", str(big), "--which", "analytic"]) == 0
+    wide = str(tmp_path / "big" / "analytic_occupation.csv")
+    assert main(["compare", "--config", str(cfg), "--reference", wide]) == 0
+    graded = (out / "accuracy.csv").read_bytes()
+    assert main(["compare", "--config", str(cfg), "--reference", "analytic"]) == 0
+    assert graded == (out / "accuracy.csv").read_bytes()
 
 
 def test_compare_galerkin(tmp_path):
@@ -233,7 +243,7 @@ def test_compare_galerkin(tmp_path):
     assert main(["compare", "--config", str(cfg), "--reference", "galerkin"]) == 0
 
 
-def test_compare_missing_reference_index(tmp_path):
+def test_compare_missing_reference_index(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, output_dir=str(out))
     ref = tmp_path / "partial.csv"
@@ -243,6 +253,24 @@ def test_compare_missing_reference_index(tmp_path):
     assert main(["compare", "--config", str(cfg), "--reference", str(tmp_path / "exact")]) == 2
     ref.write_text("measure,ell,freqs,re,im\noccupation,0,,1.0,0.0\n")
     assert main(["compare", "--config", str(cfg), "--reference", str(ref)]) == 2
+    # an empty file, a short row and non-finite values are named by file and line
+    full = out / "ref.csv"
+    assert main(["oracle", "--config", str(cfg), "--which", "analytic"]) == 0
+    lines = (out / "analytic_occupation.csv").read_text().splitlines(keepends=True)
+    for text, line in (
+        ("", 1),
+        ("".join(lines[:3]) + "1,-1|1,0.5\n" + "".join(lines[3:]), 4),
+        ("".join(lines[:2]) + "0,,nan,0.0\n" + "".join(lines[3:]), 3),
+        ("".join(lines[:5]) + "0,-1,1.0,-inf\n" + "".join(lines[6:]), 6),
+    ):
+        full.write_text(text)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg), "--reference", str(full)]) == 2
+        assert f"{full}, line {line}:" in capsys.readouterr().err
+    # a time degree beyond the int8 moment keys is named by file
+    full.write_text("ell,freqs,re,im\n200,1,1.0,0.0\n")
+    assert main(["compare", "--config", str(cfg), "--reference", str(full)]) == 2
+    assert f"{full}: time degrees above 127" in capsys.readouterr().err
 
 
 def test_oracle_galerkin(tmp_path):

@@ -19,7 +19,7 @@ from momentpde.models import (
     MeasureTag,
     constraint_residual,
     generate_constraints,
-    initial_moment,
+    initial_table,
 )
 from momentpde.tables import MissingMomentError, MomentTable
 
@@ -44,10 +44,11 @@ def test_initial_data_validation():
     assert data.max_mode == 1
 
 
-def test_initial_moment_examples(u0):
-    assert initial_moment(u0, MomentIndex(0, (1, -1))) == 1
-    assert initial_moment(u0, MomentIndex(2, (1,))) == 0
-    assert initial_moment(u0, MomentIndex(0, (2,))) == 0
+def test_initial_moment_examples(u0, deg222):
+    table = initial_table(u0, deg222)
+    assert table.get(MomentIndex(0, (1, -1))) == 1
+    assert table.get(MomentIndex(2, (1,))) == 0
+    assert table.get(MomentIndex(0, (2,))) == 0
 
 
 def negated(idx):
@@ -197,7 +198,7 @@ def test_constraint_residual_on_analytic_tables(u0, deg422):
 def test_constraint_residual_zeroed_occupation(u0, deg222):
     tables = analytic_tables(u0, deg222)
     zeroed = dict(tables)
-    zeroed[MeasureTag.OCCUPATION] = MomentTable(
+    zeroed[MeasureTag.OCCUPATION] = MomentTable.from_moments(
         {idx: 0j for idx, _ in tables[MeasureTag.OCCUPATION].items()}
     )
     equations = generate_constraints(Linear(), deg222)
@@ -211,7 +212,7 @@ def test_constraint_residual_zeroed_occupation(u0, deg222):
 
 def test_constraint_residual_missing_index_names_it(u0, deg222):
     tables = analytic_tables(u0, deg222)
-    tables[MeasureTag.OCCUPATION] = MomentTable({MomentIndex(0, ()): 1.0})
+    tables[MeasureTag.OCCUPATION] = MomentTable.from_moments({MomentIndex(0, ()): 1.0})
     with pytest.raises(MissingMomentError) as err:
         constraint_residual(generate_constraints(Linear(), deg222), tables)
     assert "occupation" in str(err.value)

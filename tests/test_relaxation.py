@@ -32,7 +32,7 @@ from momentpde.relaxation import (
     moment_matrix,
     terminal_matrix,
 )
-from momentpde.tables import MomentTable, write_table_csv
+from momentpde.tables import MissingMomentError, MomentTable, read_table_csv, write_table_csv
 
 from test_solver import MODELS
 
@@ -72,7 +72,7 @@ def test_layout_slot_structure(deg222):
 
 
 @pytest.mark.parametrize("triple", [(2, 2, 2), (4, 4, 2), (2, 2, 20)], ids=lambda t: "%d-%d-%d" % t)
-def test_lookup_agrees_with_canonicalize(triple):
+def test_lookup_agrees_with_canonicalize(triple, tmp_path):
     deg = TruncationDegrees(*triple)
     layout = build_layout(deg)
     moments = enumerate_moment_vector(deg)
@@ -88,6 +88,51 @@ def test_lookup_agrees_with_canonicalize(triple):
             slot = layout.slots[(measure, key)]
             assert (re, None if im < 0 else im) == (slot.real, slot.imag)
             assert s == (-1 if canon.conjugated else 1)
+
+    # The array table against a plain dict keyed by the canonical index.  The
+    # seeded mapping gives every moment and its conjugate: the later wins.
+    rng = np.random.default_rng(7)
+    given, plain = {}, {}
+    for idx in moments:
+        re, im = rng.normal(size=2)
+        given[idx] = complex(re, 0.0 if sorted(-n for n in idx.freqs) == list(idx.freqs) else im)
+        canon = canonicalize(idx)
+        plain[canon.index] = given[idx].conjugate() if canon.conjugated else given[idx]
+    table = MomentTable.from_moments(given)
+    assert [idx for idx, _ in table.items()] == [idx for idx in moments if is_canonical(idx)]
+
+    def expected(idx):
+        canon = canonicalize(idx)
+        value = plain[canon.index]
+        return value.conjugate() if canon.conjugated else value
+
+    def bits(values):  # (re, im) bit patterns, one row per value
+        return np.array(values, dtype=complex).view(np.uint64).reshape(-1, 2)
+
+    conjugates = [MomentIndex(idx.time_degree, [-n for n in idx.freqs]) for idx in moments]
+    for query in (moments, conjugates):
+        want = bits([expected(idx) for idx in query])
+        assert np.array_equal(bits([table.get(idx) for idx in query]), want)
+        q_ell = np.array([idx.time_degree for idx in query])
+        # count rows of a wider or narrower harmonic width are re-padded
+        for h in (deg.harmonic, deg.harmonic + 3, deg.harmonic - 1):
+            fit = [i for i, idx in enumerate(query) if all(abs(n) <= h for n in idx.freqs)]
+            q_counts = mode_counts([query[i].freqs for i in fit], h)
+            assert np.array_equal(bits(table.lookup(q_ell[fit], q_counts)), want[fit])
+        assert all(idx in table for idx in query)
+    # forced-real entries read an imaginary part of exactly +0.0
+    for idx in moments:
+        if sorted(-n for n in idx.freqs) == list(idx.freqs):
+            assert bits([table.get(idx)])[0, 1] == 0
+    # a mode outside the table's width is a missing moment
+    outside = MomentIndex(0, (deg.harmonic + 1,))
+    assert outside not in table
+    with pytest.raises(MissingMomentError, match=r"y\[0;%d\]" % (deg.harmonic + 1)):
+        table.get(outside)
+    # the CSV keeps the bytes
+    write_table_csv(table, tmp_path / "a.csv")
+    write_table_csv(read_table_csv(tmp_path / "a.csv"), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_block_sizes_at_222(u0, deg222):
@@ -121,13 +166,13 @@ def random_tables(deg, seed):
     rng = np.random.default_rng(seed)
     tables = {}
     for measure in (MeasureTag.OCCUPATION, MeasureTag.TERMINAL):
-        table = MomentTable()
+        entries = {}
         for idx in enumerate_moment_vector(deg):
             if is_canonical(idx):
                 re, im = rng.normal(size=2)
                 self_conjugate = tuple(sorted(-n for n in idx.freqs)) == idx.freqs
-                table.set(idx, complex(re, 0.0 if self_conjugate else im))
-        tables[measure] = table
+                entries[idx] = complex(re, 0.0 if self_conjugate else im)
+        tables[measure] = MomentTable.from_moments(entries)
     return tables
 
 
@@ -210,9 +255,12 @@ def test_objective_is_sum_of_hermitian_traces(u0, deg222):
     assert value > 0
 
 
-def test_extraction_round_trip(u0, deg222):
-    problem = build_problem(Linear(), deg222, u0)
-    tables = analytic_tables(u0, deg222)
+@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 4, 2), (6, 2, 4)], ids=lambda t: "%d-%d-%d" % t)
+@pytest.mark.parametrize("model", MODELS, ids=["linear", "distributed", "local"])
+def test_extraction_round_trip(u0, model, triple):
+    deg = TruncationDegrees(*triple)
+    problem = build_problem(model, deg, u0)
+    tables = analytic_tables(u0, deg)
     x = embed_tables(problem.layout, tables)
     out = extract_pseudomoments(problem, x)
     for measure in (MeasureTag.OCCUPATION, MeasureTag.TERMINAL):
@@ -222,6 +270,10 @@ def test_extraction_round_trip(u0, deg222):
     assert out[MeasureTag.INITIAL].get(MomentIndex(0, (1,))) == 1
     # forced-real slots never grow an imaginary part
     assert out[MeasureTag.OCCUPATION].get(MomentIndex(1, (-1, 1))).imag == 0
+    # x -> tables -> x is the identity, bit for bit
+    x = np.random.default_rng(3).normal(size=problem.num_vars)
+    again = embed_tables(problem.layout, extract_pseudomoments(problem, x))
+    assert np.array_equal(again.view(np.uint64), x.view(np.uint64))
 
 
 def test_extraction_fills_terminal_aliases_in_moment_vector_order(u0, tmp_path):
@@ -231,14 +283,14 @@ def test_extraction_fills_terminal_aliases_in_moment_vector_order(u0, tmp_path):
     deg = TruncationDegrees(4, 4, 2)
     problem = build_problem(Linear(), deg, u0)
     x = np.random.default_rng(2).normal(size=problem.num_vars)
-    expected = MomentTable()
+    expected = {}
     for (measure, idx), slot in problem.layout.slots.items():
         if measure is MeasureTag.TERMINAL:
-            expected.set(idx, complex(x[slot.real], 0.0 if slot.imag is None else x[slot.imag]))
+            expected[idx] = complex(x[slot.real], 0.0 if slot.imag is None else x[slot.imag])
     for idx in enumerate_moment_vector(deg):
         if idx.time_degree > 0 and is_canonical(idx):
-            expected.set(idx, expected.get(MomentIndex(0, idx.freqs)))
-    write_table_csv(expected, tmp_path / "expected.csv")
+            expected[idx] = expected[MomentIndex(0, idx.freqs)]
+    write_table_csv(MomentTable.from_moments(expected), tmp_path / "expected.csv")
     write_table_csv(extract_pseudomoments(problem, x)[MeasureTag.TERMINAL], tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
