@@ -43,10 +43,8 @@ for step in (4e-2, 2e-2, 1e-2):
 
 deg = TruncationDegrees(4, 4, 2)
 occ, term = trajectory_moments(integrate(Linear(), u0, step=1e-3, cutoff=2), deg)
-ana = analytic_tables(u0, deg)
-worst = max(
-    relative_error(v, ana[MeasureTag.OCCUPATION].get(idx)) for idx, v in occ.items()
-)
+exact = analytic_tables(u0, deg)[MeasureTag.OCCUPATION]
+worst = relative_error(occ.values, exact.lookup(occ.moments.ell, occ.moments.counts)).max()
 print(f"\nepsilon = 0: worst relative error vs closed form over "
       f"{len(occ)} occupation moments: {worst:.2e}")
 

@@ -7,13 +7,7 @@ files for external solvers), and validates the results against closed-form
 and Fourier-Galerkin oracles.
 """
 
-from .analytic import (
-    analytic_occupation_moment,
-    analytic_tables,
-    analytic_terminal_moment,
-    i_ell,
-    i_ell_closed_form,
-)
+from .analytic import analytic_tables, i_ell, i_ell_closed_form
 from .compare import matching_percentages, relative_error
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .galerkin import (

@@ -2,11 +2,12 @@
 
 Each Fourier mode decays independently, u_n(t) = u_n(0) exp(-n^2 t), so every
 moment reduces to a coefficient product times I_ell(N) = int_0^1 t^ell
-exp(-N t) dt with N the sum of squared modes.  I_ell has an explicit
-factorial expression, but for small N and larger ell it subtracts nearly
-equal quantities; the primary evaluation is therefore a fixed 64-node
-Gauss-Legendre rule (the integrand is entire, so the rule is exact to machine
-precision), with the factorial form kept as a cross-check.
+exp(-N t) dt with N the sum of squared modes, and every terminal moment to
+the product times exp(-N).  I_ell has an explicit factorial expression, but
+for small N and larger ell it subtracts nearly equal quantities; the primary
+evaluation is therefore a fixed 64-node Gauss-Legendre rule (the integrand is
+entire, so the rule is exact to machine precision), with the factorial form
+kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .indices import MomentIndex, TruncationDegrees, enumerate_moment_vector, is_canonical
+from .indices import TruncationDegrees
 from .models import InitialData, MeasureTag, initial_table
 from .tables import MomentTable
 
@@ -44,30 +45,23 @@ def i_ell_closed_form(ell: int, n_sq: int) -> float:
     return fact / n_sq ** (ell + 1) - math.exp(-n_sq) * tail
 
 
-def analytic_occupation_moment(u0: InitialData, idx: MomentIndex) -> complex:
-    n_sq = sum(n * n for n in idx.freqs)
-    if n_sq == 0:
-        return u0.coeff(0) ** len(idx.freqs) / (idx.time_degree + 1)
-    return u0.product(idx.freqs) * i_ell(idx.time_degree, n_sq)
-
-
-def analytic_terminal_moment(u0: InitialData, idx: MomentIndex) -> complex:
-    """Coefficient product times exp(-N); independent of the time degree."""
-    n_sq = sum(n * n for n in idx.freqs)
-    return u0.product(idx.freqs) * math.exp(-n_sq)
-
-
 def analytic_tables(
     u0: InitialData, deg: TruncationDegrees
 ) -> dict[MeasureTag, MomentTable]:
-    """Initial/terminal/occupation tables over the whole truncation."""
-    indices = [idx for idx in enumerate_moment_vector(deg) if is_canonical(idx)]
+    """Initial, terminal and occupation tables on one key set, the initial
+    table's ``MomentKeys.truncation``.  With p the coefficient product of a
+    row's multiset and N its sum of squared modes, occupation is p * I(ell, N)
+    (one ``i_ell`` per distinct (ell, N); I(ell, 0) = 1/(ell+1)) and terminal
+    p * exp(-N)."""
+    initial = initial_table(u0, deg)
+    keys = initial.moments
+    n_sq = keys.counts @ np.arange(-deg.harmonic, deg.harmonic + 1) ** 2
+    product = np.tile(initial.values[keys.ell == 0], deg.time + 1)
+    pairs, pair = np.unique(np.stack([keys.ell, n_sq]), axis=1, return_inverse=True)
+    integral = [i_ell(ell, n) if n else 1 / (ell + 1) for ell, n in pairs.T.tolist()]
+    decay = [math.exp(-n) for n in n_sq.tolist()]
     return {
-        MeasureTag.INITIAL: initial_table(u0, deg),
-        MeasureTag.TERMINAL: MomentTable.from_moments(
-            {idx: analytic_terminal_moment(u0, idx) for idx in indices}
-        ),
-        MeasureTag.OCCUPATION: MomentTable.from_moments(
-            {idx: analytic_occupation_moment(u0, idx) for idx in indices}
-        ),
+        MeasureTag.INITIAL: initial,
+        MeasureTag.TERMINAL: MomentTable(keys, product * decay),
+        MeasureTag.OCCUPATION: MomentTable(keys, product * np.take(integral, pair)),
     }

@@ -2,9 +2,9 @@
 
 Projects the PDE onto modes |n| <= cutoff, integrates the resulting ODE
 system with classical RK4, and turns the sampled trajectory into occupation
-and terminal moment tables by composite Simpson quadrature.  This gives an
-independent reference for the nonlinear models, valid up to its own mode
-truncation and step size.
+and terminal moment tables on ``MomentKeys.truncation`` by composite Simpson
+quadrature.  This gives an independent reference for the nonlinear models,
+valid up to its own mode truncation and step size.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import (
-    TruncationDegrees,
-    enumerate_moment_vector,
-    is_canonical,
-)
+from .indices import TruncationDegrees
 from .models import (
     DistributedQuadratic,
     HeatModel,
@@ -26,7 +22,7 @@ from .models import (
     MeasureTag,
     initial_table,
 )
-from .tables import MomentTable
+from .tables import MomentKeys, MomentTable
 
 
 @dataclass
@@ -107,10 +103,13 @@ def integrate(
 def trajectory_moments(
     trajectory: Trajectory, deg: TruncationDegrees
 ) -> tuple[MomentTable, MomentTable]:
-    """Occupation and terminal tables of the sampled trajectory.
+    """Occupation and terminal tables of the sampled trajectory, on
+    ``MomentKeys.truncation(deg)``.
 
-    Occupation moments integrate t^ell times the mode product with composite
-    Simpson quadrature; terminal moments read the product off the final state.
+    The product series of every ell = 0 multiset is formed at once, one mode
+    factor at a time in increasing mode order.  Occupation moments integrate
+    t^ell times the series with composite Simpson quadrature, one call per
+    time degree; terminal moments read the series off the final state.
     """
     # Imported here, not at module level: scipy.integrate is slow to load and
     # large, and only this function needs it; `import momentpde` stays lean.
@@ -121,31 +120,21 @@ def trajectory_moments(
             f"harmonic degree {deg.harmonic} exceeds trajectory cutoff "
             f"{trajectory.cutoff}"
         )
+    keys = MomentKeys.truncation(deg)
+    first = keys.counts[keys.ell == 0]
     times = trajectory.times
-    t_powers = {0: np.ones_like(times)}
-    for ell in range(1, deg.time + 1):
-        t_powers[ell] = t_powers[ell - 1] * times
-
-    products: dict[tuple[int, ...], np.ndarray] = {}
-
-    def product_series(freqs: tuple[int, ...]) -> np.ndarray:
-        series = products.get(freqs)
-        if series is None:
-            if not freqs:
-                series = np.ones_like(times, dtype=complex)
-            else:
-                series = product_series(freqs[:-1]) * trajectory.mode_series(freqs[-1])
-            products[freqs] = series
-        return series
-
-    occupation, terminal = {}, {}
-    for idx in enumerate_moment_vector(deg):
-        if not is_canonical(idx):
-            continue
-        series = product_series(idx.freqs)
-        occupation[idx] = complex(simpson(t_powers[idx.time_degree] * series, x=times))
-        terminal[idx] = complex(series[-1])
-    return MomentTable.from_moments(occupation), MomentTable.from_moments(terminal)
+    series = np.ones((len(first), len(times)), dtype=complex)
+    for column, count in enumerate(first.T):
+        mode = trajectory.mode_series(column - deg.harmonic)
+        for copy in range(1, count.max(initial=0) + 1):
+            series[count >= copy] *= mode
+    occupation = np.empty((deg.time + 1, len(first)), dtype=complex)
+    power = np.ones_like(times)
+    for ell in range(deg.time + 1):
+        occupation[ell] = simpson(power * series, x=times, axis=-1)
+        power = power * times
+    terminal = np.tile(series[:, -1], deg.time + 1)
+    return MomentTable(keys, occupation.ravel()), MomentTable(keys, terminal)
 
 
 def oracle_tables(

@@ -73,10 +73,6 @@ def canonicalize(idx: MomentIndex) -> CanonicalIndex:
     return CanonicalIndex(idx, False)
 
 
-def is_canonical(idx: MomentIndex) -> bool:
-    return not canonicalize(idx).conjugated
-
-
 @dataclass(frozen=True, slots=True)
 class TruncationDegrees:
     """Truncation triple (time, algebraic, harmonic).

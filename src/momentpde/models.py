@@ -29,7 +29,6 @@ import numpy as np
 
 from .indices import (
     TruncationDegrees,
-    basis_monomials,
     canonical_counts,
     count_freqs,
     enumerate_moment_vector,
@@ -119,15 +118,13 @@ class InitialData:
 
 
 def initial_table(u0: InitialData, deg: TruncationDegrees) -> MomentTable:
-    """Table of the initial Dirac over the whole truncation, one entry per
-    canonical moment in the order of the moment vector."""
-    h = deg.harmonic
-    first = mode_counts([idx.freqs for idx in basis_monomials(0, deg.algebraic, h)], h)
-    first = first[~canonical_counts(first)[1]]
-    values = np.zeros((deg.time + 1, len(first)), dtype=complex)
-    values[0] = [u0.product(freqs) for freqs in count_freqs(first, h)]
-    ell = np.repeat(np.arange(deg.time + 1), len(first))
-    return MomentTable(MomentKeys(ell, np.tile(first, (deg.time + 1, 1))), values.ravel())
+    """Table of the initial Dirac on ``MomentKeys.truncation(deg)``: the
+    coefficient product of each multiset at ell = 0, and 0 above."""
+    keys = MomentKeys.truncation(deg)
+    first = keys.counts[keys.ell == 0]
+    values = np.zeros(len(keys), dtype=complex)
+    values[: len(first)] = [u0.product(freqs) for freqs in count_freqs(first, deg.harmonic)]
+    return MomentTable(keys, values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -506,10 +506,9 @@ def extract_pseudomoments(
         values.imag[has_imag] = x[imag[has_imag]]
         if measure is MeasureTag.TERMINAL:
             # Terminal moments alias across time degrees: the table repeats
-            # the ell = 0 rows at ell = 1..T, for lookups through plain tables.
-            times = layout.degrees.time + 1
-            ell, counts = np.repeat(np.arange(times), len(moments)), moments.counts
-            moments, values = MomentKeys(ell, np.tile(counts, (times, 1))), np.tile(values, times)
+            # the ell = 0 rows at ell = 1..T, which are the occupation keys.
+            moments = layout.moments[MeasureTag.OCCUPATION][0]
+            values = np.tile(values, layout.degrees.time + 1)
         out[measure] = MomentTable(moments, values)
     if problem.initial_table is not None:
         out[MeasureTag.INITIAL] = problem.initial_table

@@ -228,12 +228,17 @@ def write_solution(x: np.ndarray, path: str | Path) -> None:
 
 
 def read_solution(path: str | Path) -> np.ndarray:
+    """Vector of a ``write_solution`` file, blank lines skipped; a malformed
+    value raises ``ValueError`` naming the file and line."""
     values = []
     with open(path) as f:
-        for raw in f:
+        for number, raw in enumerate(f, 1):
             line = raw.strip()
             if line:
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
     x = np.array(values)
     if not np.isfinite(x).all():
         raise ValueError(f"solution file {path} has a non-finite value")

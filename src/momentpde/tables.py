@@ -4,8 +4,9 @@
 row) and finds moments among them: ``canonical_counts``, ``moment_keys``,
 then ``np.searchsorted`` in its sorted keys.  The relaxation's layout finds
 slots this way and a ``MomentTable`` its values; a table is built once and
-never changed.  ``MomentIndex`` is the edge: ``get``, ``in``, ``items`` and
-``MomentTable.from_moments`` (CSV reader, oracles, tests).
+never changed.  The initial and oracle tables are built on the truncation's
+key set, ``MomentKeys.truncation``.  ``MomentIndex`` is the edge: ``get``,
+``in``, ``items`` and ``MomentTable.from_moments`` (CSV reader, tests).
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .indices import MomentIndex, canonical_counts, count_freqs, mode_counts, moment_keys
+from .indices import (
+    MomentIndex,
+    TruncationDegrees,
+    basis_monomials,
+    canonical_counts,
+    count_freqs,
+    mode_counts,
+    moment_keys,
+)
 
 
 class MissingMomentError(KeyError):
@@ -42,6 +51,16 @@ class MomentKeys:
         key = moment_keys(ell, counts)
         self._rows = np.argsort(key)
         self._keys = key[self._rows]
+
+    @classmethod
+    def truncation(cls, deg: TruncationDegrees) -> "MomentKeys":
+        """Canonical moments of a truncation in moment-vector order: the
+        canonical mode multisets of ell = 0, repeated for ell = 1..time."""
+        h = deg.harmonic
+        first = mode_counts([idx.freqs for idx in basis_monomials(0, deg.algebraic, h)], h)
+        first = first[~canonical_counts(first)[1]]
+        times = deg.time + 1
+        return cls(np.repeat(np.arange(times), len(first)), np.tile(first, (times, 1)))
 
     def __len__(self) -> int:
         return len(self.ell)

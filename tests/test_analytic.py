@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from momentpde.analytic import (
-    analytic_occupation_moment,
-    analytic_tables,
-    analytic_terminal_moment,
-    i_ell,
-    i_ell_closed_form,
+from momentpde.analytic import analytic_tables, i_ell, i_ell_closed_form
+from momentpde.indices import (
+    MomentIndex,
+    TruncationDegrees,
+    canonicalize,
+    enumerate_moment_vector,
 )
-from momentpde.indices import MomentIndex, TruncationDegrees, enumerate_moment_vector
 from momentpde.models import (
     InitialData,
     Linear,
@@ -62,22 +61,40 @@ def test_i_ell_domain():
 
 
 def test_occupation_examples(u0):
-    assert analytic_occupation_moment(u0, MomentIndex(0, ())) == pytest.approx(1)
-    assert analytic_occupation_moment(u0, MomentIndex(1, ())) == pytest.approx(0.5)
-    assert analytic_occupation_moment(u0, MomentIndex(0, (1,))) == pytest.approx(
-        1 - math.exp(-1), rel=1e-12
-    )
+    occ = analytic_tables(u0, TruncationDegrees(2, 2, 2))[MeasureTag.OCCUPATION]
+    assert occ.get(MomentIndex(0, ())) == pytest.approx(1)
+    assert occ.get(MomentIndex(1, ())) == pytest.approx(0.5)
+    assert occ.get(MomentIndex(0, (1,))) == pytest.approx(1 - math.exp(-1), rel=1e-12)
 
 
 def test_terminal_examples(u0):
-    assert analytic_terminal_moment(u0, MomentIndex(0, (1, 1))) == pytest.approx(
-        math.exp(-2), rel=1e-14
-    )
-    assert analytic_terminal_moment(u0, MomentIndex(5, ())) == 1
+    term = analytic_tables(u0, TruncationDegrees(6, 2, 2))[MeasureTag.TERMINAL]
+    assert term.get(MomentIndex(0, (1, 1))) == pytest.approx(math.exp(-2), rel=1e-14)
+    assert term.get(MomentIndex(5, ())) == 1
     # independent of the time degree
-    assert analytic_terminal_moment(u0, MomentIndex(3, (1,))) == analytic_terminal_moment(
-        u0, MomentIndex(0, (1,))
-    )
+    assert term.get(MomentIndex(3, (1,))) == term.get(MomentIndex(0, (1,)))
+
+
+def test_tables_match_i_ell_per_moment():
+    # every moment against its own closed form: the coefficient product
+    # times I(ell, N), I(ell, 0) = 1/(ell+1), and times exp(-N) at t = 1
+    data = InitialData({-2: 0.3j, -1: 0.5 - 0.25j, 0: 0.9, 1: 0.5 + 0.25j, 2: -0.3j})
+    deg = TruncationDegrees(4, 4, 2)
+    tables = analytic_tables(data, deg)
+    checked = 0
+    for idx in enumerate_moment_vector(deg):
+        if canonicalize(idx).conjugated:
+            continue
+        product = data.product(idx.freqs)
+        n_sq = sum(n * n for n in idx.freqs)
+        integral = i_ell(idx.time_degree, n_sq) if n_sq else 1 / (idx.time_degree + 1)
+        assert tables[MeasureTag.OCCUPATION].get(idx) == product * integral
+        assert tables[MeasureTag.TERMINAL].get(idx) == product * math.exp(-n_sq)
+        assert tables[MeasureTag.INITIAL].get(idx) == (product if idx.time_degree == 0 else 0)
+        checked += 1
+    assert checked == len(tables[MeasureTag.OCCUPATION])
+    # one key set for the three tables
+    assert all(tables[m].moments is tables[MeasureTag.INITIAL].moments for m in MeasureTag)
 
 
 def test_complex_initial_data_conjugation():

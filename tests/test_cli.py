@@ -338,3 +338,15 @@ def test_export_and_import_solution(tmp_path, capsys):
             ["import-solution", "--config", str(cfg), "--solution", str(sol)]
         ) == 2
         assert "non-finite value" in capsys.readouterr().err
+
+    # a malformed value names the file and its line, blank lines counted
+    for bad in ("abc", "1.0 2.0"):
+        write_solution(x, sol)
+        lines = sol.read_text().splitlines(keepends=True)
+        lines[3:4] = ["\n", bad + "\n"]
+        sol.write_text("".join(lines))
+        assert main(
+            ["import-solution", "--config", str(cfg), "--solution", str(sol)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{sol}, line 5: could not convert string to float: '{bad}'" in err

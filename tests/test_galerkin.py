@@ -9,18 +9,25 @@ import pytest
 
 import momentpde
 
-from momentpde.analytic import analytic_occupation_moment, analytic_terminal_moment
+from momentpde.analytic import analytic_tables
 from momentpde.galerkin import (
     _mode_derivatives,
     integrate,
     oracle_tables,
     trajectory_moments,
 )
-from momentpde.indices import MomentIndex, TruncationDegrees
+from momentpde.indices import (
+    MomentIndex,
+    TruncationDegrees,
+    canonicalize,
+    enumerate_moment_vector,
+)
 from momentpde.models import (
     DistributedQuadratic,
+    InitialData,
     Linear,
     LocalQuadratic,
+    MeasureTag,
     constraint_residual,
     generate_constraints,
 )
@@ -110,14 +117,16 @@ def test_integrate_reports_blowup(u0):
 
 
 def test_trajectory_moment_examples(u0):
+    deg = TruncationDegrees(2, 2, 2)
     traj = integrate(Linear(), u0, step=1e-3, cutoff=2)
-    occ, term = trajectory_moments(traj, TruncationDegrees(2, 2, 2))
+    occ, term = trajectory_moments(traj, deg)
     assert occ.get(MomentIndex(0, ())) == pytest.approx(1.0, abs=1e-12)
     assert occ.get(MomentIndex(0, (1,))) == pytest.approx(1 - math.exp(-1), abs=1e-8)
-    assert occ.get(MomentIndex(2, (1, -1))) == pytest.approx(
-        analytic_occupation_moment(u0, MomentIndex(2, (1, -1))), abs=1e-8
-    )
+    idx = MomentIndex(2, (1, -1))
+    exact = analytic_tables(u0, deg)[MeasureTag.OCCUPATION].get(idx)
+    assert occ.get(idx) == pytest.approx(exact, abs=1e-8)
     assert term.get(MomentIndex(0, (1, 1))) == pytest.approx(math.exp(-2), abs=1e-10)
+    assert term.moments is occ.moments  # one key set for both tables
 
 
 def test_all_moments_match_analytic_at_442(u0):
@@ -125,12 +134,42 @@ def test_all_moments_match_analytic_at_442(u0):
     occ, term = trajectory_moments(
         integrate(Linear(), u0, step=1e-3, cutoff=2), deg
     )
-    for idx, value in occ.items():
-        ref = analytic_occupation_moment(u0, idx)
-        assert abs(value - ref) <= 1e-6 * max(abs(ref), 1e-12)
-    for idx, value in term.items():
-        ref = analytic_terminal_moment(u0, idx)
-        assert abs(value - ref) <= 1e-6 * max(abs(ref), 1e-12)
+    exact = analytic_tables(u0, deg)
+    for table, measure in ((occ, MeasureTag.OCCUPATION), (term, MeasureTag.TERMINAL)):
+        ref = exact[measure]
+        assert np.array_equal(table.moments.ell, ref.moments.ell)
+        assert np.array_equal(table.moments.counts, ref.moments.counts)
+        error = np.abs(table.values - ref.values)
+        assert np.all(error <= 1e-6 * np.maximum(np.abs(ref.values), 1e-12))
+
+
+def test_trajectory_moments_match_per_moment_simpson():
+    # bit for bit against one Simpson call per canonical moment, the mode
+    # product formed factor by factor in sorted mode order
+    from scipy.integrate import simpson
+
+    u0 = InitialData({-2: 0.3j, -1: 0.5 - 0.25j, 0: 0.9, 1: 0.5 + 0.25j, 2: -0.3j})
+    deg = TruncationDegrees(4, 4, 2)
+    traj = integrate(LocalQuadratic(0.1), u0, step=1e-2, cutoff=4)
+    occ, term = trajectory_moments(traj, deg)
+    occupation, terminal = {}, {}
+    for idx in enumerate_moment_vector(deg):
+        if canonicalize(idx).conjugated:
+            continue
+        series = np.ones_like(traj.times, dtype=complex)
+        for n in idx.freqs:
+            series = series * traj.mode_series(n)
+        power = np.ones_like(traj.times)
+        for _ in range(idx.time_degree):
+            power = power * traj.times
+        occupation[idx] = complex(simpson(power * series, x=traj.times))
+        terminal[idx] = complex(series[-1])
+
+    def bits(entries):  # repr tells every bit of a float
+        return [(i, repr(v)) for i, v in entries]
+
+    assert bits(occ.items()) == bits(occupation.items())
+    assert bits(term.items()) == bits(terminal.items())
 
 
 def test_moment_extraction_requires_enough_modes(u0):

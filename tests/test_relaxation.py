@@ -10,7 +10,6 @@ from momentpde.indices import (
     TruncationDegrees,
     canonicalize,
     enumerate_moment_vector,
-    is_canonical,
     mode_counts,
 )
 from momentpde.models import (
@@ -32,7 +31,13 @@ from momentpde.relaxation import (
     moment_matrix,
     terminal_matrix,
 )
-from momentpde.tables import MissingMomentError, MomentTable, read_table_csv, write_table_csv
+from momentpde.tables import (
+    MissingMomentError,
+    MomentKeys,
+    MomentTable,
+    read_table_csv,
+    write_table_csv,
+)
 
 from test_solver import MODELS
 
@@ -99,7 +104,8 @@ def test_lookup_agrees_with_canonicalize(triple, tmp_path):
         canon = canonicalize(idx)
         plain[canon.index] = given[idx].conjugate() if canon.conjugated else given[idx]
     table = MomentTable.from_moments(given)
-    assert [idx for idx, _ in table.items()] == [idx for idx in moments if is_canonical(idx)]
+    canonical = [idx for idx in moments if not canonicalize(idx).conjugated]
+    assert [idx for idx, _ in table.items()] == canonical
 
     def expected(idx):
         canon = canonicalize(idx)
@@ -168,7 +174,7 @@ def random_tables(deg, seed):
     for measure in (MeasureTag.OCCUPATION, MeasureTag.TERMINAL):
         entries = {}
         for idx in enumerate_moment_vector(deg):
-            if is_canonical(idx):
+            if not canonicalize(idx).conjugated:
                 re, im = rng.normal(size=2)
                 self_conjugate = tuple(sorted(-n for n in idx.freqs)) == idx.freqs
                 entries[idx] = complex(re, 0.0 if self_conjugate else im)
@@ -276,6 +282,27 @@ def test_extraction_round_trip(u0, model, triple):
     assert np.array_equal(again.view(np.uint64), x.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "triple", [(2, 2, 2), (4, 4, 2), (6, 2, 4), (2, 2, 0)], ids=lambda t: "%d-%d-%d" % t
+)
+def test_extracted_tables_share_the_truncation_keys(u0, triple):
+    deg = TruncationDegrees(*triple)
+    problem = build_problem(LocalQuadratic(0.1), deg, u0)
+    out = extract_pseudomoments(problem, np.random.default_rng(4).normal(size=problem.num_vars))
+    # the terminal table is laid on the layout's occupation keys, not a copy
+    assert out[MeasureTag.TERMINAL].moments is out[MeasureTag.OCCUPATION].moments
+    assert out[MeasureTag.OCCUPATION].moments is problem.layout.moments[MeasureTag.OCCUPATION][0]
+    # ... which are the truncation's canonical moments in moment-vector order
+    canonical = [idx for idx in enumerate_moment_vector(deg) if not canonicalize(idx).conjugated]
+    truncation = MomentKeys.truncation(deg)
+    assert truncation.ell.tolist() == [idx.time_degree for idx in canonical]
+    counts = mode_counts([idx.freqs for idx in canonical], deg.harmonic)
+    assert np.array_equal(truncation.counts, counts)
+    for table in out.values():
+        assert np.array_equal(table.moments.ell, truncation.ell)
+        assert np.array_equal(table.moments.counts, truncation.counts)
+
+
 def test_extraction_fills_terminal_aliases_in_moment_vector_order(u0, tmp_path):
     # The rule the aliases follow: every canonical index of the moment vector
     # with ell > 0, in order, takes its ell = 0 value.  Table order sets the
@@ -288,7 +315,7 @@ def test_extraction_fills_terminal_aliases_in_moment_vector_order(u0, tmp_path):
         if measure is MeasureTag.TERMINAL:
             expected[idx] = complex(x[slot.real], 0.0 if slot.imag is None else x[slot.imag])
     for idx in enumerate_moment_vector(deg):
-        if idx.time_degree > 0 and is_canonical(idx):
+        if idx.time_degree > 0 and not canonicalize(idx).conjugated:
             expected[idx] = expected[MomentIndex(0, idx.freqs)]
     write_table_csv(MomentTable.from_moments(expected), tmp_path / "expected.csv")
     write_table_csv(extract_pseudomoments(problem, x)[MeasureTag.TERMINAL], tmp_path / "out.csv")
