@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FloatingPointError) as exc:
+    except (ConfigError, ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

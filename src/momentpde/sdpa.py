@@ -10,10 +10,17 @@ The entries stay one float64 array of rows (matno, blkno, i, j, value) from
 assembly to file and back; the writer limits the indices to 32 bits, so the
 array holds them exactly.
 Values are rendered with 17 significant digits so doubles round-trip bit-exactly.
+
+Every number is rendered once per file: the writer keeps one table of the
+index values present and one of the distinct floats (by bits, so -0.0 stays
+"-0"), and builds the text of a chunk of rows from these byte tables with
+numpy.  The objective line and solution files go through the same float
+table.  The bytes written are those of the earlier per-line formatter.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 
 from .relaxation import Block, ConicProblem
 
-_CHUNK = 65536  # entry rows formatted at a time
+_CHUNK = 65536  # rows written at a time
 
 
 @dataclass
@@ -39,10 +46,6 @@ class SdpaData:
     block_sizes: list[int]  # negative size marks a diagonal block
     rhs: list[float]
     entries: np.ndarray
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _sorted(entries: np.ndarray) -> np.ndarray:
@@ -89,17 +92,61 @@ def to_sdpa_data(problem: ConicProblem) -> SdpaData:
     )
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  np.unique hashes integer arrays, which takes
+    several times longer here than one np.sort."""
+    s = np.sort(values, axis=None)
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    return s[new]
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """ASCII texts as rows of 8-byte words, padded with zero bytes."""
+    width = -(-max(map(len, texts), default=1) // 8) * 8
+    return np.array(texts, dtype=f"S{width}").view(np.uint64).reshape(len(texts), width // 8)
+
+
+# A field of the written rows: its sorted distinct keys, their texts as a
+# table (row k is the text of key k), and its values, one per written row
+# (1-D) or several adjacent columns per written row (2-D).
+_Field = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _float_field(values) -> _Field:
+    """Each distinct value rendered once, with 17 significant digits and a
+    newline.  Values are told apart by their bits, so -0.0 renders as "-0"."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    keys = _distinct(bits)
+    return keys, _text_table([f"{v:.17g}\n" for v in keys.view(np.float64).tolist()]), bits
+
+
+def _join(fields: list[_Field], rows: slice) -> bytes:
+    """Text of the given rows: each row's texts of every field, side by side."""
+    # column by column, the searches mostly walk up the keys
+    parts = [table[np.searchsorted(keys, values[rows].T).T] for keys, table, values in fields]
+    words = np.concatenate([p.reshape(len(p), math.prod(p.shape[1:])) for p in parts], axis=1)
+    return words.tobytes().translate(None, b"\0")  # drops the padding
+
+
+def _write_fields(f, fields: list[_Field]) -> None:
+    for k in range(0, len(fields[0][2]), _CHUNK):
+        f.write(_join(fields, slice(k, k + _CHUNK)))
+
+
 def write_sdpa_data(data: SdpaData, path: str | Path) -> None:
-    with open(path, "w") as f:
-        f.write(f"{data.num_constraints}\n")
-        f.write(f"{len(data.block_sizes)}\n")
-        f.write(" ".join(str(s) for s in data.block_sizes) + "\n")
-        f.write(" ".join(_fmt(v) for v in data.rhs) + "\n")
-        line = "{} {} {} {} {:.17g}\n".format  # matno blkno i j value
-        for k in range(0, len(data.entries), _CHUNK):
-            chunk = data.entries[k : k + _CHUNK]
-            ints = chunk[:, :4].astype(np.int64).T.tolist()
-            f.write("".join(map(line, *ints, chunk[:, 4].tolist())))
+    columns = data.entries[:, :4]  # matno blkno i j
+    keys = _distinct(columns)
+    fields = [
+        (keys, _text_table([f"{k} " for k in keys.astype(np.int64).tolist()]), columns),
+        _float_field(data.entries[:, 4]),
+    ]
+    objective = _join([_float_field(data.rhs)], slice(None))
+    with open(path, "wb") as f:
+        f.write(f"{data.num_constraints}\n{len(data.block_sizes)}\n".encode())
+        f.write((" ".join(str(s) for s in data.block_sizes) + "\n").encode())
+        f.write(objective[:-1].replace(b"\n", b" ") + b"\n")  # one line
+        _write_fields(f, fields)
 
 
 def export_sdpa(problem: ConicProblem, path: str | Path) -> None:
@@ -222,9 +269,8 @@ def from_sdpa_data(data: SdpaData) -> ConicProblem:
 
 def write_solution(x: np.ndarray, path: str | Path) -> None:
     """One variable value per line, problem order."""
-    with open(path, "w") as f:
-        for v in x:
-            f.write(_fmt(float(v)) + "\n")
+    with open(path, "wb") as f:
+        _write_fields(f, [_float_field(x)])
 
 
 def read_solution(path: str | Path) -> np.ndarray:

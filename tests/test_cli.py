@@ -202,6 +202,18 @@ def test_missing_config_is_a_config_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_file_errors_exit_2(tmp_path, capsys):
+    # exit 1 means "not optimal"; a file that cannot be written or read is an
+    # error, reported without a traceback
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    out = tmp_path / "missing" / "problem.dat-s"
+    assert main(["export-sdpa", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+    sol = tmp_path / "solution.txt"
+    assert main(["import-solution", "--config", str(cfg), "--solution", str(sol)]) == 2
+    assert f"error: [Errno 2] No such file or directory: '{sol}'" in capsys.readouterr().err
+
+
 def test_compare_analytic(tmp_path, capsys):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["compare", "--config", str(cfg), "--reference", "analytic"]) == 0

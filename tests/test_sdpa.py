@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from momentpde.indices import TruncationDegrees
 from momentpde.models import InitialData, Linear
 from momentpde.relaxation import Block, ConicProblem, build_problem, extract_pseudomoments
 from momentpde.sdpa import (
+    _CHUNK,
+    SdpaData,
     export_sdpa,
     from_sdpa_data,
     import_solution,
@@ -322,6 +325,77 @@ def test_hand_built_block_constants_and_stored_zeros():
         (2, 3, 1, 1, -1.0),
         (2, 3, 2, 2, 1.0),
     ])
+
+
+def per_line_file(data):
+    """The file bytes as a per-line formatter renders them: the reference
+    for the table writer."""
+    head = [
+        f"{data.num_constraints}\n{len(data.block_sizes)}\n",
+        " ".join(str(s) for s in data.block_sizes) + "\n",
+        " ".join(f"{v:.17g}" for v in data.rhs) + "\n",
+    ]
+    line = "{} {} {} {} {:.17g}\n".format  # matno blkno i j value
+    ints = data.entries[:, :4].astype(np.int64).tolist()
+    body = [line(*k, v) for k, v in zip(ints, data.entries[:, 4].tolist())]
+    return "".join(head + body).encode()
+
+
+def entry_rows(n, values):
+    """n sorted entry rows of one block, indices of one to four digits, with
+    ``values`` repeated cyclically."""
+    k = np.arange(n)
+    return np.column_stack(
+        [k // 7, np.ones(n), k % 7 + 1, k % 7 + 1 + k // 11, np.resize(values, n)]
+    )
+
+
+EXTREMES = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            np.inf, -np.inf, np.nan, 1 / 3, -2.5, 1e16, 1e-5]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        SdpaData(2, [2, -3], [0.0, -0.0], entry_rows(40, [0.0, -0.0, 1.0, -0.0])),
+        SdpaData(3, [4], [np.inf, np.nan, 5e-324], entry_rows(44, EXTREMES)),
+        # a second chunk whose values all occur in the first
+        SdpaData(1, [7], [1.5], entry_rows(_CHUNK + 1001, [0.1, -0.0, 1 / 3, 7.0, 2.0**-1074])),
+        SdpaData(0, [1], [], np.zeros((0, 5))),
+        SdpaData(2, [1, -1], [1.0, 2.0], np.zeros((0, 5))),
+    ],
+    ids=["signed-zeros", "extremes", "two-chunks", "empty", "no-entries"],
+)
+def test_writer_matches_per_line_formatter(tmp_path, data):
+    path = tmp_path / "p.dat-s"
+    write_sdpa_data(data, path)
+    assert path.read_bytes() == per_line_file(data)
+
+
+def test_writer_memory_does_not_follow_the_largest_index(tmp_path):
+    # one table row per index value present: an index of 10**7 costs one
+    # row, not a table of 10**7 rows (40 MB even as int32)
+    big = 10**7
+    data = SdpaData(big, [big], [1.0] * 3, np.array([(1, 1, 1, big, 0.5), (big, 1, big, big, -1.0)]))
+    path = tmp_path / "big.dat-s"
+    tracemalloc.start()
+    try:
+        write_sdpa_data(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.read_bytes() == per_line_file(data)
+
+
+def test_solution_file_matches_per_value_formatter(tmp_path):
+    x = np.resize([*EXTREMES, 0.0, -0.0], _CHUNK + 500)
+    path = tmp_path / "sol.txt"
+    write_solution(x, path)
+    # bytes, not text: pytest's line diff of a long failing text takes minutes
+    assert path.read_bytes() == "".join(f"{float(v):.17g}\n" for v in x).encode()
+    write_solution(np.zeros(0), path)
+    assert path.read_bytes() == b""
 
 
 def test_read_solution_skips_blank_lines(tmp_path):
