@@ -17,11 +17,11 @@ epsilon loses the equations that pinned the k = 2 moments.  The distributed
 model only drops test indices that contain a zero mode, which the remaining
 structure compensates for.
 
-A full-accuracy sweep takes ~3 minutes; pass --quick for a capped-iteration
-run that shows the same qualitative picture in ~1 minute.
+At epsilon = 1 the local model's relaxation at (4,2,2) looks infeasible (the
+PDE itself blows up at t ~ 0.41): the solver stops short of "optimal" there,
+and its best iterate is graded like the others.
 """
 
-import sys
 import time
 
 from momentpde import (
@@ -29,7 +29,6 @@ from momentpde import (
     InitialData,
     LocalQuadratic,
     MeasureTag,
-    SolverSettings,
     TruncationDegrees,
     analytic_tables,
     build_problem,
@@ -37,9 +36,6 @@ from momentpde import (
     matching_percentages,
     solve,
 )
-
-quick = "--quick" in sys.argv
-settings = SolverSettings(max_iters=15000) if quick else SolverSettings()
 
 u0 = InitialData.default()
 deg = TruncationDegrees(4, 2, 2)
@@ -54,9 +50,10 @@ for name, make in [
     for eps in (0.0, 1e-6, 1e-3, 1.0):
         problem = build_problem(make(eps), deg, u0)
         start = time.perf_counter()
-        x, report = solve(problem, settings)
+        x, report = solve(problem)
         occupation = extract_pseudomoments(problem, x)[MeasureTag.OCCUPATION]
         rows = dict((t, p) for t, _, _, p in matching_percentages(occupation, reference))
         print(f"  eps = {eps:>6g}: {rows[TAU]:5.1f}% of occupation pseudo-moments "
               f"within {TAU:.0e} of the eps=0 closed form "
-              f"({problem.num_eq} equalities, {time.perf_counter() - start:.0f}s)")
+              f"({problem.num_eq} equalities, {report.status}, "
+              f"{time.perf_counter() - start:.2f}s)")

@@ -1,7 +1,7 @@
 """Round-tripping the relaxation through the SDPA sparse format.
 
-Large truncations outgrow the embedded first-order solver; the escape hatch
-is the plain-text SDPA sparse format (.dat-s) consumed by high-accuracy
+Large truncations outgrow the embedded dense-Schur interior-point solver;
+the escape hatch is the plain-text SDPA sparse format (.dat-s) consumed by
 external solvers.  This script
 
   * exports the (2,2,2) linear heat relaxation,
@@ -31,7 +31,6 @@ from momentpde import (
     to_sdpa_data,
     write_solution,
 )
-from momentpde.solver import SolverSettings
 
 u0 = InitialData.default()
 problem = build_problem(Linear(), TruncationDegrees(2, 2, 2), u0)
@@ -56,7 +55,7 @@ print("parse-back is structurally identical to the writer's view")
 
 reconstructed = from_sdpa_data(data)
 _, direct = solve(problem)
-_, from_file = solve(reconstructed, SolverSettings(max_iters=100000))
+_, from_file = solve(reconstructed)
 rel = abs(direct.primal_objective - from_file.primal_objective) / abs(
     direct.primal_objective
 )

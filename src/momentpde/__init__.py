@@ -2,10 +2,19 @@
 
 The package turns the linear heat flow and two quadratic perturbations into
 finite semidefinite relaxations over occupation and terminal pseudo-moments,
-solves them with an embedded operator-splitting solver (or exports SDPA
-files for external solvers), and validates the results against closed-form
-and Fourier-Galerkin oracles.
+solves them with an embedded primal-dual interior-point solver (or exports
+SDPA files for external solvers), and validates the results against
+closed-form and Fourier-Galerkin oracles.
 """
+
+import os
+
+# One BLAS/OpenMP thread unless the caller chose otherwise: the solver's many
+# small dense products slow down when BLAS threads contend for cores.  The
+# limit takes effect only before numpy loads, so it is set here, where the
+# `momentpde` console script first imports the package.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .analytic import analytic_tables, i_ell, i_ell_closed_form
 from .compare import matching_percentages, relative_error

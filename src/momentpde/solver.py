@@ -1,4 +1,5 @@
-"""Embedded first-order conic solver: operator splitting in the equality null space.
+"""Embedded interior-point solver: a primal-dual path-following method on the
+problem's face, in the null space of its equalities.
 
 The problem is min c.x subject to E x = f and (A_b x + d_b) in the PSD cone
 for every block b.  First, once per solve, one substitution x = x0 + Z z
@@ -8,21 +9,36 @@ face empties read 0 = 0 and are left out, and so are the block rows that are
 identically zero on it, since a matrix with a zero row is PSD exactly when
 the rest of it is.  One sparse LU of the pivot columns E_B (one per kept
 row) gives E x0 = f and the sparse Z = [-E_B^-1 E_N; I] on the live columns,
-with x0 and Z exactly zero on F.  A mirror variable S_b per block then
-alternates
+with x0 and Z exactly zero on F.
 
-  1. a z-step: least squares pulling the block images toward S_b - U_b, with
-     one LU of Z^T A^T A Z per solve (it does not depend on the penalty);
-  2. a blockwise PSD projection giving the new S_b: LAPACK's dsyevr finds
-     only the positive eigenpairs, and the block is rebuilt from them (the
-     iterates are low-rank, so that is few pairs);
-  3. a scaled dual update U_b.
+What is left is
 
-The penalty starts at the ratio of the objective's scale to the moments'
-(``initial_penalty``) and moves only by residual balancing; the report gives
-its first and last value.  Equality residuals sit at roundoff.
-Over-relaxation with a fixed factor speeds up the consensus.  Everything is
-deterministic.
+  min c_z.z  subject to  F_b(z) = F0_b + sum_i z_i A_bi  PSD for every b,
+
+with c_z = Z^T c, F0_b the block at x0 and A_bi the block image of column i
+of Z; a diagonal block is a nonnegative orthant (an LP cone).  Its dual is
+max c.x0 - sum_b <F0_b, X_b> subject to sum_b <A_bi, X_b> = c_z,i and X_b
+PSD.  The solver is an infeasible-start primal-dual interior-point method
+with the HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
+Vanderbei and Wolkowicz, SIAM J. Optim. 1996; Todd, Toh and Tutuncu, SIAM J.
+Optim. 1998).  It starts from z = 0 and SDPT3's scaled identities S_b and
+X_b, and each iteration
+
+  1. forms the Schur complement M_ij = sum_b tr(A_bi X_b A_bj S_b^-1) and
+     factors it by one dense LU (a z-column that no block touches gets a
+     unit diagonal);
+  2. solves it once for the predictor and twice for the corrector, the
+     second time for what forming dX lost of the dual equations;
+  3. steps to a fraction 0.9-0.99 of the distance to the cone boundary,
+     found from the least eigenvalue of L^-1 D L^-T for S = L L^T (or X) and
+     a direction D.
+
+It stops at the status "optimal" once the relative duality gap and the dual
+infeasibility are at most _GAP_TOL and F(z) is PSD within ``abs_tol``.  Once
+the residuals or <X, S> grow, or S or X is no longer numerically positive
+definite, it stops at the best iterate ("stalled"); an iterate that leaves
+the finite range ends "infeasible_suspect", with NaN off the face.
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -40,18 +56,22 @@ from .relaxation import Block, ConicProblem
 # Right-hand sides per LU solve while building Z.  Each solve holds a dense
 # num_eq x _SOLVE_CHUNK array; 16 keeps that under 0.5 MB at (4,4,4).
 _SOLVE_CHUNK = 16
-# Iterations between termination checks, and between penalty adaptations.
-_CHECK_EVERY = 25
-_ADAPT_EVERY = 500
-# The splitting penalty when ``initial_penalty`` has no finite positive ratio
-# to start from.  Residual balancing keeps rho within 1e-5..1e5 times its start.
-_PENALTY = 2.0
-_OVER_RELAXATION = 1.6
-# Relative change of the objective between checks that counts as stable.
-_REL_TOL = 1e-9
-# Called directly because scipy.linalg.eigh(subset_by_value=...) adds ~15 us
-# per call; lower=1 because the upper triangle failed (info=1) on a finite block.
+# The relative duality gap and dual infeasibility that count as optimal.
+_GAP_TOL = 1e-8
+# Dense block images per chunk while forming the Schur complement: 2**20
+# doubles (8 MB), so a large block is never held as one (m, n, n) stack.
+_STACK_ENTRIES = 1 << 20
+# The merit max(gap, primal, dual infeasibility) and the complementarity
+# <X, S> / n may exceed their values at the best iterate by this factor
+# before the solver stops there.
+_GROWTH = 100.0
+# LAPACK called directly: scipy.linalg.eigh adds ~15 us per call, a lot
+# against the solver's small blocks.  dsyevr gets lower=1 because the upper
+# triangle failed (info=1) on a finite block; each call returns info, never
+# raises.
 _dsyevr = scipy.linalg.lapack.dsyevr
+_dpotrf = scipy.linalg.lapack.dpotrf
+_dtrtri = scipy.linalg.lapack.dtrtri
 
 
 @dataclass
@@ -72,13 +92,14 @@ class SolverSettings:
 
 @dataclass
 class SolveReport:
-    status: str  # "optimal" | "max_iters" | "infeasible_suspect"
+    status: str  # "optimal" | "max_iters" | "stalled" | "infeasible_suspect"
     primal_objective: float
     max_equality_residual: float
     min_block_eigenvalue: float
-    iterations: int
-    penalty_start: float  # rho at the first iteration
-    penalty_end: float  # rho at the last, after residual balancing
+    iterations: int  # Schur complements factored
+    relative_gap: float  # |primal - dual objective| / (1 + |primal| + |dual|)
+    primal_infeasibility: float  # |F(z) - S| / (1 + |F0|), Frobenius norms
+    dual_infeasibility: float  # |c_z - sum_b A_b^T X_b| / (1 + |c_z|)
 
     def as_dict(self) -> dict:
         """Every field, in declaration order."""
@@ -142,25 +163,6 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
-def initial_penalty(problem: ConicProblem) -> float:
-    """The splitting penalty the solver starts from: 4 |c|_inf over the
-    largest of |f|_inf and the blocks' |d_b|_inf, or _PENALTY when that is
-    not finite and positive.
-
-    The z-step reads c only as c / rho, so with this start the iterates do
-    not depend on the scale of the objective; the denominator follows the
-    scale of the moments.  4, not more: at (2,2,2) LocalQuadratic(0.1)
-    certifies in 325 iterations at rho = 8 and in 5,950 at 16.
-    """
-    scale = max(
-        [np.abs(problem.eq_rhs).max(initial=0.0)]
-        + [np.abs(b.const).max(initial=0.0) for b in problem.blocks]
-    )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho = 4.0 * np.abs(problem.objective).max(initial=0.0) / scale
-    return float(rho) if np.isfinite(rho) and rho > 0 else _PENALTY
-
-
 def _blocks_on_face(problem: ConicProblem) -> tuple[list[Block], np.ndarray, bool]:
     """The blocks restricted to their rows that are not identically zero on
     the face, a full block to the same rows and columns; the live variables;
@@ -180,123 +182,260 @@ def _blocks_on_face(problem: ConicProblem) -> tuple[list[Block], np.ndarray, boo
     return blocks, live, dropped
 
 
+class _Cone:
+    """One block in z-space: F(z) = f0 + g z.  Its matrices are (n, n)
+    arrays, or (n,) diagonals for an LP cone, so that ``_mul`` and ``_sym``
+    serve both.  The block images gt = g^T (one row per z-column) are dense
+    when they fit in _STACK_ENTRIES doubles, sparse otherwise."""
+
+    def __init__(self, block: Block, x0: np.ndarray, z_basis: sp.csr_matrix):
+        self.size, self.diagonal = block.size, block.diagonal
+        gt = (block.coeffs @ z_basis).T.tocsr()
+        self.norms = spla.norm(gt, axis=1)  # |A_i|_F
+        if gt.shape[0] * gt.shape[1] <= _STACK_ENTRIES:
+            gt = gt.toarray()
+        self.gt, self.g = gt, gt.T
+        self.f0 = block.coeffs @ x0 + block.const
+
+    def mat(self, v: np.ndarray) -> np.ndarray:
+        return v if self.diagonal else v.reshape(self.size, self.size)
+
+    def image(self, z: np.ndarray) -> np.ndarray:
+        return self.mat(self.f0 + self.g @ z)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.gt @ y.ravel()
+
+    def start(self, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """SDPT3's infeasible start X = xi I and S = eta I, with xi and eta
+        from the norms of the block's data and of the objective."""
+        n = self.size
+        ratio = float(np.max((1 + np.abs(c_z)) / (1 + self.norms), initial=0.0))
+        xi = max(10.0, np.sqrt(n), n * ratio)
+        eta = max(10.0, np.sqrt(n), self.norms.max(initial=0.0), np.linalg.norm(self.f0))
+        if self.diagonal:
+            return np.full(n, xi), np.full(n, eta)
+        return xi * np.eye(n), eta * np.eye(n)
+
+    def schur(self, x: np.ndarray, s_inv: np.ndarray, out: np.ndarray) -> None:
+        """Add tr(A_i X A_j S^-1) to out[i, j]."""
+        if self.diagonal:
+            out += _dense(self.gt @ (sp.diags(x * s_inv) @ self.g))
+            return
+        n = self.size
+        step = max(1, _STACK_ENTRIES // (n * n))
+        for lo in range(0, out.shape[0], step):
+            a = _dense(self.gt[lo : lo + step]).reshape(-1, n, n)
+            t = x @ (a.reshape(-1, n) @ s_inv).reshape(a.shape)
+            out[:, lo : lo + len(a)] += self.gt @ t.reshape(len(a), n * n).T
+
+
+def _dense(a) -> np.ndarray:
+    return a.toarray() if sp.issparse(a) else a
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * b if a.ndim == 1 else a @ b
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return a if a.ndim == 1 else 0.5 * (a + a.T)
+
+
+def _inverse_factor(a: np.ndarray) -> np.ndarray | None:
+    """L^-1 for a = L L^T (1 / sqrt(a) on a diagonal), or None when a is not
+    numerically positive definite.  LAPACK is never handed inf or NaN."""
+    if not np.isfinite(a).all():
+        return None
+    if a.ndim == 1:
+        return 1.0 / np.sqrt(a) if (a > 0).all() else None
+    low, info = _dpotrf(a, lower=1)
+    if info != 0:
+        return None
+    inv, info = _dtrtri(low, lower=1)
+    return inv if info == 0 else None
+
+
+def _least_eig(a: np.ndarray) -> float:
+    """The least eigenvalue of a symmetric matrix (of a diagonal: its least
+    entry), or NaN when a is not finite or LAPACK does not converge."""
+    if not np.isfinite(a).all():
+        return np.nan
+    if a.ndim == 1:
+        return float(a.min())
+    w, _, _, _, info = _dsyevr(_sym(a), compute_v=0, range="I", il=1, iu=1, lower=1)
+    return float(w[0]) if info == 0 else np.nan
+
+
+def _max_step(inv_factor: np.ndarray, d: np.ndarray) -> float:
+    """The largest alpha with L L^T + alpha d PSD, from the least eigenvalue of
+    L^-1 d L^-T (inf when every alpha is); 0.0 when that eigenvalue cannot be
+    found."""
+    scaled = d * inv_factor**2 if d.ndim == 1 else inv_factor @ d @ inv_factor.T
+    low = _least_eig(scaled)
+    if np.isnan(low):
+        return 0.0
+    return -1.0 / low if low < 0 else np.inf
+
+
+def _min_eig(mats: list[np.ndarray], dropped: bool) -> float:
+    """Minimum eigenvalue of the full blocks, whose rows dropped by the face
+    are zero: at most 0.0 if any was dropped.  NaN when a block is not
+    finite; LAPACK is never handed inf or NaN."""
+    worst = 0.0 if dropped else np.inf
+    for mat in mats:
+        low = _least_eig(mat)
+        if np.isnan(low):
+            return np.nan
+        worst = min(worst, low)
+    return worst if mats else 0.0
+
+
+def _adjoint(cones: list[_Cone], mats: list[np.ndarray], m: int) -> np.ndarray:
+    """sum_b A_b^T Y_b."""
+    return sum((cone.adjoint(y) for cone, y in zip(cones, mats)), np.zeros(m))
+
+
+def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> float:
+    return sum(float(np.sum(u * v)) for u, v in zip(a, b))
+
+
+def _newton(cones, lu, xs, s_inv, r_p, r_d, sigma_mu, corr, passes):
+    """The HKM direction (dz, dS, dX) toward X S = sigma_mu I, with corr the
+    corrector's second-order term (dX dS of the predictor), or None when a
+    right-hand side is not finite.
+
+    dS = A(dz) + R_p and dX = sigma_mu S^-1 - X - (X dS + corr) S^-1,
+    symmetrized, where M dz makes sum_b A_b^T dX_b = r_d.  Forming dX loses
+    up to eps |X| |dS| |S^-1| of that equation near the optimum; each pass
+    after the first solves for what it lost, with the same LU, and adds the
+    correction, whose own rounding is as small as it is.
+    """
+    m = len(r_d)
+    dz, ds = np.zeros(m), r_p
+    dx = [
+        _sym(sigma_mu * si - x - _mul(_mul(x, r) + k, si))
+        for x, r, k, si in zip(xs, r_p, corr, s_inv)
+    ]
+    for _ in range(passes):
+        err = _adjoint(cones, dx, m) - r_d
+        if not np.isfinite(err).all():
+            return None
+        delta = scipy.linalg.lu_solve(lu, err, check_finite=False)
+        image = [cone.mat(cone.g @ delta) for cone in cones]
+        dz = dz + delta
+        ds = [d + a for d, a in zip(ds, image)]
+        dx = [d - _sym(_mul(_mul(x, a), si)) for d, x, a, si in zip(dx, xs, image, s_inv)]
+    return dz, ds, dx
+
+
 def solve(
     problem: ConicProblem, settings: SolverSettings | None = None
 ) -> tuple[np.ndarray, SolveReport]:
-    """Run the splitting iteration on the problem's face; returns the last
-    iterate, exactly 0.0 on the zero variables, and a report."""
+    """Run the interior-point method on the problem's face; returns the
+    optimal iterate, or the best one when it stops short (NaN off the face
+    when it diverged), exactly 0.0 on the zero variables, and a report."""
     settings = settings or SolverSettings()
-    blocks, live, dropped = _blocks_on_face(problem)
-    n = problem.num_vars
-    rho = rho_start = initial_penalty(problem)
-
-    a_all = sp.vstack([b.coeffs for b in blocks], format="csr") if blocks else sp.csr_matrix((0, n))
-    d_all = (
-        np.concatenate([b.const for b in blocks]) if blocks else np.zeros(0)
-    )
-    a_all_t = a_all.T.tocsr()
-    offsets = np.cumsum([0] + [b.vec_dim for b in blocks])
-
+    blocks, _, dropped = _blocks_on_face(problem)
     eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
     x0, z_basis = null_space(problem)
-    z_basis_t = z_basis.T.tocsr()
-    h_lu = spla.splu((z_basis_t @ ((a_all_t @ a_all) @ z_basis)).tocsc())
-    v0 = a_all @ x0 + d_all  # block images at z = 0
-    c_z = z_basis_t @ c
-    s_all = np.zeros(a_all.shape[0])
-    u_all = np.zeros_like(s_all)
-    x = x0
+    cones = [_Cone(block, x0, z_basis) for block in blocks]
+    c_z, c_x0 = z_basis.T @ c, float(c @ x0)
+    m, degree = len(c_z), max(1, sum(cone.size for cone in cones))
+    f0_norm = np.sqrt(sum(float(cone.f0 @ cone.f0) for cone in cones))
+    c_norm = float(np.linalg.norm(c_z))
 
-    def project_all(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for b, block in enumerate(blocks):
-            seg = slice(offsets[b], offsets[b + 1])
-            if block.diagonal:
-                out[seg] = np.maximum(v[seg], 0.0)
-            else:
-                out[seg] = project_psd(
-                    v[seg].reshape(block.size, block.size)
-                ).ravel()
-        return out
+    z = np.zeros(m)
+    starts = [cone.start(c_z) for cone in cones]
+    xs, ss = [x for x, _ in starts], [s for _, s in starts]
 
-    def min_block_eig(v: np.ndarray) -> float:
-        """Minimum eigenvalue of the full blocks, whose rows dropped by the
-        face are zero: at most 0.0 if any was dropped.  NaN when a block is
-        not finite; LAPACK is never handed inf or NaN."""
-        worst = 0.0 if dropped else np.inf
-        for b, block in enumerate(blocks):
-            seg = v[offsets[b] : offsets[b + 1]]
-            if not block.diagonal:
-                mat = seg.reshape(block.size, block.size)
-                sym = 0.5 * (mat + mat.T)  # inf where the sum overflows
-                seg = np.linalg.eigvalsh(sym) if np.isfinite(sym).all() else sym
-            if not np.isfinite(seg).all():
-                return np.nan
-            worst = min(worst, float(seg.min()) if len(seg) else np.inf)
-        return worst if blocks else 0.0
+    def measure(z, xs, ss):
+        """(Relative gap, primal and dual infeasibility), F(z), R_p and r_d."""
+        images = [cone.image(z) for cone in cones]
+        r_p = [fz - s for fz, s in zip(images, ss)]
+        r_d = c_z - _adjoint(cones, xs, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            primal = c_x0 + float(c_z @ z)
+            dual = c_x0 - sum(float(cone.f0 @ x.ravel()) for cone, x in zip(cones, xs))
+            gap = abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
+            p_inf = np.sqrt(_inner(r_p, r_p)) / (1.0 + f0_norm)
+            d_inf = float(np.linalg.norm(r_d)) / (1.0 + c_norm)
+        return (gap, p_inf, d_inf), images, r_p, r_d
 
-    status = "max_iters"
-    iterations = settings.max_iters
-    prev_obj = np.inf
-
-    for it in range(1, settings.max_iters + 1):
-        z = h_lu.solve(z_basis_t @ (a_all_t @ (s_all - u_all - v0)) - c_z / rho)
-        x = x0 + z_basis @ z
-        v_all = a_all @ x + d_all
-        v_relaxed = _OVER_RELAXATION * v_all + (1.0 - _OVER_RELAXATION) * s_all
-        target = v_relaxed + u_all
-        if not (np.isfinite(x).all() and np.isfinite(target).all()):
-            # a diverging iterate; LAPACK is never handed inf or NaN
+    status, iterations, best = "max_iters", 0, None
+    for it in range(settings.max_iters + 1):
+        (gap, p_inf, d_inf), images, r_p, r_d = measure(z, xs, ss)
+        merit, mu = max(gap, p_inf, d_inf), _inner(xs, ss) / degree
+        if not np.isfinite(merit):
             status = "infeasible_suspect"
-            iterations = it
             break
-        s_prev = s_all
-        s_all = project_all(target)
-        u_all = u_all + v_relaxed - s_all
+        if best is None or merit < best[0]:
+            best = (merit, mu, z, xs, ss)
+        elif merit > _GROWTH * best[0] or mu > _GROWTH * best[1]:
+            status = "stalled"
+            break
+        if gap <= _GAP_TOL and d_inf <= _GAP_TOL and _min_eig(images, dropped) >= -settings.abs_tol:
+            status = "optimal"
+            break
+        if it == settings.max_iters:
+            break
 
-        check = it % _CHECK_EVERY == 0 or it == settings.max_iters
-        adapt = it % _ADAPT_EVERY == 0 and it < settings.max_iters
-        if not (check or adapt):
-            continue
-        primal = float(np.abs(v_all - s_all).max()) if len(s_all) else 0.0
-        # on the live variables only: a kept block row may hold a zero variable
-        dual = (
-            float(rho * np.abs((a_all_t @ (s_all - s_prev))[live]).max()) if len(s_all) else 0.0
-        )
+        inv_s = [_inverse_factor(s) for s in ss]
+        inv_x = [_inverse_factor(x) for x in xs]
+        if any(v is None for v in inv_s + inv_x):
+            status = "stalled"
+            break
+        s_inv = [v * v if v.ndim == 1 else _sym(v.T @ v) for v in inv_s]
+        schur = np.zeros((m, m))
+        for cone, x, si in zip(cones, xs, s_inv):
+            cone.schur(x, si, schur)
+        schur.flat[:: m + 1][np.diag(schur) == 0] = 1.0  # z-columns no block touches
+        if not np.isfinite(schur).all():
+            status = "infeasible_suspect"
+            break
+        lu = scipy.linalg.lu_factor(schur, check_finite=False)
+        iterations = it + 1
 
-        if check:
-            eq_res = float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0
-            obj = float(c @ x)
-            obj_stable = abs(obj - prev_obj) <= _REL_TOL * max(1.0, abs(obj))
-            prev_obj = obj
-            if (
-                eq_res <= settings.abs_tol
-                and primal <= settings.abs_tol
-                and dual <= settings.abs_tol
-                and obj_stable
-                and min_block_eig(v_all) >= -settings.abs_tol
-            ):
-                status = "optimal"
-                iterations = it
-                break
+        def step_lengths(ds, dx, gamma):
+            primal = min([_max_step(v, d) for v, d in zip(inv_s, ds)], default=np.inf)
+            dual = min([_max_step(v, d) for v, d in zip(inv_x, dx)], default=np.inf)
+            return min(1.0, gamma * primal), min(1.0, gamma * dual)
 
-        if adapt:
-            # Residual balancing; the scaled duals U = Lambda / rho follow rho.
-            if primal > 10 * dual and rho < 1e5 * rho_start:
-                rho *= 2.0
-                u_all /= 2.0
-            elif dual > 10 * primal and rho > 1e-5 * rho_start:
-                rho /= 2.0
-                u_all *= 2.0
+        # Mehrotra: the predictor's reach sets the centering and the corrector.
+        pred = _newton(cones, lu, xs, s_inv, r_p, r_d, 0.0, [np.zeros_like(x) for x in xs], 1)
+        if pred is None:
+            status = "infeasible_suspect"
+            break
+        _, ds, dx = pred
+        a_p, a_d = step_lengths(ds, dx, 1.0)
+        x_aff = [x + a_d * d for x, d in zip(xs, dx)]
+        mu_aff = _inner(x_aff, [s + a_p * d for s, d in zip(ss, ds)]) / degree
+        sigma = min(1.0, max(0.0, mu_aff / mu) ** 3) if mu > 0 else 0.0
+        corr = [_mul(x, s) for x, s in zip(dx, ds)]
+        step = _newton(cones, lu, xs, s_inv, r_p, r_d, sigma * mu, corr, 2)
+        if step is None:
+            status = "infeasible_suspect"
+            break
+        dz, ds, dx = step
+        a_p, a_d = step_lengths(ds, dx, 0.9 + 0.09 * min(a_p, a_d))
+        z = z + a_p * dz
+        ss = [s + a_p * d for s, d in zip(ss, ds)]
+        xs = [x + a_d * d for x, d in zip(xs, dx)]
 
-    v_all = a_all @ x + d_all
+    if status == "infeasible_suspect":
+        z = np.full(m, np.nan)  # the iterate left the finite range
+    elif status != "optimal":
+        _, _, z, xs, ss = best
+    (gap, p_inf, d_inf), images, _, _ = measure(z, xs, ss)
+    x = x0 + z_basis @ z
     report = SolveReport(
         status=status,
         primal_objective=float(c @ x),
         max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
-        min_block_eigenvalue=min_block_eig(v_all),
+        min_block_eigenvalue=_min_eig(images, dropped),
         iterations=iterations,
-        penalty_start=rho_start,
-        penalty_end=rho,
+        relative_gap=gap,
+        primal_infeasibility=p_inf,
+        dual_infeasibility=d_inf,
     )
     return x, report

@@ -6,10 +6,10 @@ tolerances rather than loosened:
 
 * embedded-solve at degrees (2,2,2): the equality constraints leave one free
   parameter per conjugacy pattern (the top time-degree moments), and trace
-  minimization biases those by ~1e-2; an interior-point solver run on the
-  identical problem lands on the same optimum to 4e-8, so no solver can
-  reach 90% matching at 1e-3 there (the ceiling is ~72%).  The (4,2,2) case
-  passes with margin.
+  minimization biases those by ~1e-2.  The embedded interior-point solver
+  certifies that min-trace optimum to a relative gap of 1e-8, and it matches
+  71.8% at 1e-3, so no solver can reach 90% there.  The (4,2,2) case passes
+  with margin.
 
 * nonlinear-consistency for the local model at (4,2,2): any eps != 0 drops
   every k=2 test constraint (the convolution term needs k+1 <= algebraic

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,25 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, ["1", "1", "1"]), ("2", ["2", "1", "1"])])
+def test_console_script_import_limits_blas_threads(openblas, expected):
+    # the console script imports momentpde.cli, and with it the package,
+    # before numpy; a caller's own value wins
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import os, momentpde.cli; print(*(os.environ[v] for v in %r))" % (THREAD_VARS,)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == expected
 
 
 def test_sizes_matches_golden_file(capsys):
@@ -84,10 +106,10 @@ def test_config_validation_errors(tmp_path):
         parse_config({"solver": {"bogus": 1}})
     with pytest.raises(ConfigError):
         parse_config({"extra_key": True})
-    # the splitting knobs are module constants, not settings
+    # the solver's knobs and its gap tolerance are module constants, not settings
     for key, value in (("penalty", 1.0), ("over_relaxation", 1.6),
                        ("adaptive_penalty", True), ("rel_tol", 1e-9),
-                       ("track_residuals", True)):
+                       ("track_residuals", True), ("gap_tol", 1e-8)):
         with pytest.raises(ConfigError, match="unknown solver keys"):
             parse_config({"solver": {key: value}})
     for bad in ("10", 1.5, True, -3, 0):
@@ -168,15 +190,16 @@ def test_solve_subcommand(tmp_path, capsys):
     assert report["status"] == "optimal"
     assert report["max_equality_residual"] <= 1e-6
     assert report["degrees"] == [2, 2, 2]
-    assert report["penalty_start"] == report["penalty_end"] == 8.0
+    assert report["relative_gap"] <= 1e-8
     assert list(report) == [
         "status",
         "primal_objective",
         "max_equality_residual",
         "min_block_eigenvalue",
         "iterations",
-        "penalty_start",
-        "penalty_end",
+        "relative_gap",
+        "primal_infeasibility",
+        "dual_infeasibility",
         "runtime_seconds",
         "degrees",
         "model",
@@ -187,6 +210,16 @@ def test_solve_subcommand(tmp_path, capsys):
     csv_text = (tmp_path / "out" / "pseudomoments.csv").read_text()
     assert csv_text.startswith("measure,ell,freqs,re,im\n")
     assert "occupation" in csv_text and "terminal" in csv_text and "initial" in csv_text
+
+
+def test_default_config_solve_certifies(tmp_path):
+    # the defaults: Linear at (4,2,2) on the default datum
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    assert main(["solve", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "optimal" and report["degrees"] == [4, 2, 2]
+    assert report["primal_objective"] == pytest.approx(6.4426426832, rel=1e-7)
 
 
 def test_solve_output_deterministic(tmp_path):

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion against the current API.
-
-Demo 04 (about 20 s) and demo 05 (minutes) are left out.
-"""
+"""Smoke test: the demos run to completion against the current API."""
 
 import os
 import subprocess
@@ -15,6 +12,8 @@ DEMOS = [
     "01_truncation_sizes.py",
     "02_closed_form_moments.py",
     "03_galerkin_oracle.py",
+    "04_solve_linear_heat.py",
+    "05_nonlinear_sweep.py",
     "06_sdpa_interchange.py",
 ]
 

@@ -103,8 +103,6 @@ def test_reconstructed_heat_solve_matches_embedded(tmp_path, u0, deg222):
     assert from_file.primal_objective == pytest.approx(
         direct.primal_objective, rel=1e-5
     )
-    # the file's equalities become the block constants [-f; f]: same start
-    assert from_file.penalty_start == direct.penalty_start
 
 
 def test_reconstructed_heat_solve_matches_interior_point(tmp_path, u0, deg222):
@@ -127,6 +125,26 @@ def test_reconstructed_heat_solve_matches_interior_point(tmp_path, u0, deg222):
     cvx.solve(solver=cp.CLARABEL)
     _, direct = solve(problem)
     assert cvx.value == pytest.approx(direct.primal_objective, rel=1e-5)
+
+
+# The (2,2,2) optimum of the default linear problem, as the splitting solver
+# it replaced recorded it; certified interior-point probes agree to 3e-8.
+PINNED_222 = 5.959644256173723
+
+
+def test_heat_solve_matches_pinned_optimum_directly_and_from_file(tmp_path, u0, deg222):
+    # the in-repo counterpart of the cvxpy cross-check above: the embedded
+    # problem, and its reconstruction from the file, whose equalities become
+    # pairs of LP rows [E; -E] with no interior
+    problem = build_problem(Linear(), deg222, u0)
+    path = tmp_path / "heat.dat-s"
+    export_sdpa(problem, path)
+    recon = from_sdpa_data(read_sdpa(path))
+    assert recon.num_eq == 0 and recon.blocks[-1].diagonal
+    for p in (problem, recon):
+        _, report = solve(p)
+        assert report.status == "optimal" and report.relative_gap <= 1e-8
+        assert report.primal_objective == pytest.approx(PINNED_222, rel=1e-7)
 
 
 def test_solution_file_roundtrip(tmp_path, u0, deg222):

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 
 from momentpde import solver
 from momentpde.indices import TruncationDegrees
-from momentpde.models import DistributedQuadratic, Linear, LocalQuadratic
+from momentpde.models import DistributedQuadratic, InitialData, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
-from momentpde.solver import SolverSettings, initial_penalty, null_space, project_psd, solve
+from momentpde.solver import SolverSettings, null_space, project_psd, solve
 
 NO_FACE = np.zeros(0, dtype=np.int64)
 
@@ -133,31 +133,6 @@ def test_diverging_iterate_is_infeasible_suspect(capfd, value):
     assert "On entry to" not in out + err  # LAPACK saw no inf or NaN
 
 
-def test_combined_residual_monotone_after_burn_in(monkeypatch):
-    # Each problem has one full block, so each projection sees the target of
-    # one iteration and returns S; the scaled dual is U = target - S, bit for
-    # bit.  The fixed-point displacement of the splitting step is monotone
-    # non-increasing for an averaged operator iteration.
-    for problem in (min_trace_completion_problem(), rank_one_forcing_problem()):
-        s_prev, u_prev, h = np.zeros(4), np.zeros(4), []
-
-        def spy(mat):
-            nonlocal s_prev, u_prev
-            s = project_psd(mat)
-            s_all, u_all = s.ravel(), (mat - s).ravel()
-            h.append(np.sqrt(np.sum((s_all - s_prev) ** 2) + np.sum((u_all - u_prev) ** 2)))
-            s_prev, u_prev = s_all, u_all
-            return s
-
-        monkeypatch.setattr(solver, "project_psd", spy)
-        _, report = solve(problem)
-        # it stops before the first penalty adaptation, which rescales U
-        assert report.status == "optimal" and report.iterations < solver._ADAPT_EVERY
-        assert len(h) == report.iterations > 51
-        increases = np.diff(h[50:])
-        assert increases.max() <= 1e-12
-
-
 def test_solver_is_deterministic():
     xa, ra = solve(rank_one_forcing_problem())
     xb, rb = solve(rank_one_forcing_problem())
@@ -172,7 +147,8 @@ def scaled_by(scale):
 def trace_plus_mass(scale):
     """scale times the trace objective, with the coefficient of the
     occupation mass y[0; ()] (variable 0, fixed by the equalities) set back
-    to 1: the same minimizers as the scaled trace, but |c|_inf stays 1."""
+    to 1: the objective on z is the scaled trace's, so the iterates are the
+    same and the optimum is 1 higher."""
 
     def objective(problem):
         c = scale * problem.objective
@@ -183,58 +159,34 @@ def trace_plus_mass(scale):
 
 
 @pytest.mark.parametrize(
-    "model, triple, objective, max_iters, status, iterations, objective_value, penalty",
+    "model, triple, objective, max_iters, status, iterations, objective_value",
     [
-        (Linear(), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 225, 5.959644256173723, (8.0, 8.0)),
-        (
-            LocalQuadratic(0.1), (2, 2, 2), scaled_by(1.0), 50000,
-            "optimal", 325, 7.18815847090775, (8.0, 8.0),
-        ),
-        (Linear(), (4, 2, 2), scaled_by(1.0), 200, "max_iters", 200, 6.438261310218957, (8.0, 8.0)),
-        (
-            Linear(), (2, 2, 2), scaled_by(1e-4), 50000,
-            "optimal", 150, 5.959644158200202e-4, (8e-4, 8e-4),
-        ),
-        # the start, 4, is 5,000 times the scaled trace's own (8e-4):
-        # residual balancing doubles it at iteration 500 and halves it at
-        # 1,000, 1,500 and 2,000
-        (
-            Linear(), (2, 2, 2), trace_plus_mass(1e-4), 50000,
-            "optimal", 2375, 1.0004959645397329, (4.0, 1.0),
-        ),
+        (Linear(), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 10, 5.959644276756003),
+        (LocalQuadratic(0.1), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 14, 7.188158528009831),
+        (Linear(), (4, 2, 2), scaled_by(1.0), 200, "optimal", 12, 6.442642684145424),
+        (Linear(), (2, 2, 2), scaled_by(1e-4), 50000, "optimal", 10, 5.959650413805223e-4),
+        (Linear(), (2, 2, 2), trace_plus_mass(1e-4), 50000, "optimal", 10, 1.0004959650413805),
     ],
     ids=["linear-222", "local-222", "linear-422-200", "linear-222-scaled", "linear-222-mass"],
 )
 def test_solver_arithmetic_is_pinned(
-    u0, model, triple, objective, max_iters, status, iterations, objective_value, penalty
+    u0, model, triple, objective, max_iters, status, iterations, objective_value
 ):
-    # default data and settings; values recorded from the splitting iteration
+    # default data and settings; values recorded from the interior-point method
     problem = build_problem(model, TruncationDegrees(*triple), u0)
     problem = replace(problem, objective=objective(problem))
     _, report = solve(problem, SolverSettings(max_iters=max_iters))
     assert (report.status, report.iterations) == (status, iterations)
     assert report.primal_objective == pytest.approx(objective_value, rel=1e-10)
-    assert (report.penalty_start, report.penalty_end) == pytest.approx(penalty, rel=1e-15)
+    assert report.relative_gap <= 1e-8
 
 
-@pytest.mark.parametrize("model", [Linear(), LocalQuadratic(0.1)], ids=["linear", "local-0.1"])
-def test_iterates_do_not_depend_on_the_objective_scale(u0, deg222, model):
-    # the start scales with |c|_inf, so c / rho and every iterate are the same
-    problem = build_problem(model, deg222, u0)
-    scaled = replace(problem, objective=1e-4 * problem.objective)
-    x, report = solve(problem, SolverSettings(max_iters=100))
-    x_scaled, report_scaled = solve(scaled, SolverSettings(max_iters=100))
-    assert report.iterations == report_scaled.iterations == 100
-    assert report_scaled.penalty_start == pytest.approx(1e-4 * report.penalty_start, rel=1e-15)
-    assert np.abs(x_scaled - x).max() <= 1e-10 * np.abs(x).max()
-
-
-def test_initial_penalty_falls_back_when_not_finite_and_positive():
-    problem = min_trace_completion_problem()
-    assert initial_penalty(problem) == 4.0  # 4 |c|_inf / |f|_inf
-    for objective in (np.zeros(3), np.array([1.0, np.nan, 1.0]), np.array([1e308, 0.0, 1.0])):
-        assert initial_penalty(replace(problem, objective=objective)) == solver._PENALTY
-    assert initial_penalty(replace(problem, eq_rhs=np.zeros(1))) == solver._PENALTY
+def test_small_amplitude_datum_certifies(u0, deg222):
+    # the default datum scaled by 0.1: the moments of degree k scale by 0.1^k
+    small = InitialData({n: 0.1 * v for n, v in u0.coeffs.items()})
+    _, report = solve(build_problem(Linear(), deg222, small))
+    assert report.status == "optimal"
+    assert report.relative_gap <= 1e-8 and report.dual_infeasibility <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -246,8 +198,8 @@ def test_face_keeps_the_answer(u0, deg222, model):
     assert len(problem.zero_vars) > 0
     x, on_face = solve(problem)
     _, full = solve(replace(problem, zero_vars=NO_FACE))
-    assert (on_face.status, on_face.iterations) == (full.status, full.iterations)
-    assert on_face.primal_objective == pytest.approx(full.primal_objective, rel=1e-10)
+    assert on_face.status == full.status == "optimal"
+    assert on_face.primal_objective == pytest.approx(full.primal_objective, rel=1e-7)
     assert len(x) == problem.num_vars
     assert np.all(x[problem.zero_vars] == 0.0)
 
@@ -337,33 +289,10 @@ def test_null_space_of_generated_equalities(u0, model, triple):
     assert_null_space_of_face(problem, x0, z_basis, 1e-12)
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_first_x_step_matches_dense_kkt_solve(u0, deg222, model):
-    # From S = U = 0 the first x-step minimizes (rho/2)|A x + d|^2 + c.x
-    # subject to E x = f and x = 0 on the face's zero variables.  The face
-    # rows repeat the equality rows on zero variables only: a consistent,
-    # singular KKT system, with x unique.
-    problem = build_problem(model, deg222, u0)
-    rho = initial_penalty(problem)
-    x, _ = solve(problem, SolverSettings(max_iters=1))
-    a = np.vstack([b.coeffs.toarray() for b in problem.blocks])
-    d = np.concatenate([b.const for b in problem.blocks])
-    n = problem.num_vars
-    e = np.vstack([problem.eq_matrix.toarray(), np.eye(n)[problem.zero_vars]])
-    m = len(e)
-    kkt = np.block([[rho * a.T @ a, e.T], [e, np.zeros((m, m))]])
-    rhs = np.concatenate(
-        [-rho * a.T @ d - problem.objective, problem.eq_rhs, np.zeros(len(problem.zero_vars))]
-    )
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    assert np.abs(kkt @ sol - rhs).max() <= 1e-10
-    assert np.abs(x - sol[:n]).max() <= 1e-10
-
-
 def test_equalities_hold_to_roundoff_during_solve(u0, deg422):
     problem = build_problem(Linear(), deg422, u0)
-    _, report = solve(problem, SolverSettings(max_iters=200))
-    assert report.iterations == 200
+    _, report = solve(problem, SolverSettings(max_iters=5))
+    assert (report.status, report.iterations) == ("max_iters", 5)
     assert report.max_equality_residual <= 1e-12
 
 
