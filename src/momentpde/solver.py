@@ -389,7 +389,8 @@ def solve(
         schur = np.zeros((m, m))
         for cone, x, si in zip(cones, xs, s_inv):
             cone.schur(x, si, schur)
-        schur.flat[:: m + 1][np.diag(schur) == 0] = 1.0  # z-columns no block touches
+        untouched = np.flatnonzero(np.diag(schur) == 0)  # z-columns no block touches
+        schur[untouched, untouched] = 1.0
         if not np.isfinite(schur).all():
             status = "infeasible_suspect"
             break

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,25 @@ def test_hand_built_face_drops_a_zero_row():
     # the restricted 2x2 block is near the identity; the full block adds a
     # zero row, so its minimum eigenvalue is exactly 0
     assert report.min_block_eigenvalue == 0.0
+
+
+def test_variable_that_no_block_touches_stays_put():
+    # min tr X, X PSD 2x2, X11 = 1, and a fourth variable that no block, no
+    # equality and no objective term touches: its Schur row is zero
+    block = symmetric_variable_block(2, 4, {(0, 0): 0, (0, 1): 1, (1, 1): 2})
+    problem = ConicProblem(
+        num_vars=4,
+        blocks=[block],
+        eq_matrix=sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0]])),
+        eq_rhs=np.array([1.0]),
+        objective=np.array([1.0, 0.0, 1.0, 0.0]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a singular LU warns
+        x, report = solve(problem)
+    assert report.status == "optimal"
+    assert report.primal_objective == pytest.approx(1.0, abs=1e-6)
+    assert x[3] == 0.0
 
 
 def test_full_block_of_size_zero_is_rejected():
