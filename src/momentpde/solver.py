@@ -35,10 +35,10 @@ X_b, and each iteration
 
 It stops at the status "optimal" once the relative duality gap and the dual
 infeasibility are at most _GAP_TOL and F(z) is PSD within ``abs_tol``.  Once
-the residuals or <X, S> grow, or S or X is no longer numerically positive
-definite, it stops at the best iterate ("stalled"); an iterate that leaves
-the finite range ends "infeasible_suspect", with NaN off the face.
-Everything is deterministic.
+the residuals or <X, S> grow, the residuals stop improving, or S or X is no
+longer numerically positive definite, it stops at the best iterate
+("stalled"); an iterate that leaves the finite range ends
+"infeasible_suspect", with NaN off the face.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ _STACK_ENTRIES = 1 << 20
 # <X, S> / n may exceed their values at the best iterate by this factor
 # before the solver stops there.
 _GROWTH = 100.0
+# Iterations without a new best merit before the solver stops at the best
+# iterate: a converging solve improves it every iteration.
+_PATIENCE = 10
 # LAPACK called directly: scipy.linalg.eigh adds ~15 us per call, a lot
 # against the solver's small blocks.  dsyevr gets lower=1 because the upper
 # triangle failed (info=1) on a finite block; each call returns info, never
@@ -370,8 +373,8 @@ def solve(
             status = "infeasible_suspect"
             break
         if best is None or merit < best[0]:
-            best = (merit, mu, z, xs, ss)
-        elif merit > _GROWTH * best[0] or mu > _GROWTH * best[1]:
+            best, best_at = (merit, mu, z, xs, ss), it
+        elif merit > _GROWTH * best[0] or mu > _GROWTH * best[1] or it - best_at > _PATIENCE:
             status = "stalled"
             break
         if gap <= _GAP_TOL and d_inf <= _GAP_TOL and _min_eig(images, dropped) >= -settings.abs_tol:
