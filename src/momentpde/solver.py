@@ -5,11 +5,12 @@ The problem is min c.x subject to E x = f and (A_b x + d_b) in the PSD cone
 for every block b.  First, once per solve, one substitution x = x0 + Z z
 covers both the equalities and the face {x : x_F = 0}, F the variables the
 problem certifies zero (``ConicProblem.zero_vars``).  The equality rows the
-face empties read 0 = 0 and are left out, and so are the block rows that are
-identically zero on it, since a matrix with a zero row is PSD exactly when
-the rest of it is.  One sparse LU of the pivot columns E_B (one per kept
-row) gives E x0 = f and the sparse Z = [-E_B^-1 E_N; I] on the live columns,
-with x0 and Z exactly zero on F.
+face empties read 0 = 0 and are left out.  One sparse LU of the pivot
+columns E_B (one per kept row) gives E x0 = f and the sparse
+Z = [-E_B^-1 E_N; I] on the live columns, with x0 and Z exactly zero on F.
+Each block keeps only the rows that the substitution leaves nonzero, since a
+matrix with a zero row is PSD exactly when the rest of it is; a block left
+without rows is dropped.
 
 What is left is
 
@@ -34,10 +35,10 @@ X_b, and each iteration
      a direction D.
 
 It stops at the status "optimal" once the relative duality gap and the dual
-infeasibility are at most _GAP_TOL and F(z) is PSD within ``abs_tol``.  Once
-the residuals or <X, S> grow, the residuals stop improving, or S or X is no
-longer numerically positive definite, it stops at the best iterate
-("stalled"); an iterate that leaves the finite range ends
+infeasibility are at most _GAP_TOL, and F(z) is PSD and E x = f hold within
+``abs_tol``.  Once the residuals or <X, S> grow, the residuals stop
+improving, or S or X is no longer numerically positive definite, it stops at
+the best iterate ("stalled"); an iterate that leaves the finite range ends
 "infeasible_suspect", with NaN off the face.  Everything is deterministic.
 """
 
@@ -166,39 +167,30 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
-def _blocks_on_face(problem: ConicProblem) -> tuple[list[Block], np.ndarray, bool]:
-    """The blocks restricted to their rows that are not identically zero on
-    the face, a full block to the same rows and columns; the live variables;
-    and whether a row was dropped.  A block left without rows is dropped."""
-    live, _ = problem.face()
-    blocks, dropped = [], False
-    for block in problem.blocks:
-        nonzero = (abs(block.coeffs) @ live.astype(float) > 0) | (block.const != 0)
+class _Cone:
+    """One block in z-space: F(z) = f0 + g z, restricted to the rows that the
+    substitution x = x0 + Z z leaves nonzero (a full block to the same rows
+    and columns); ``dropped`` says whether it left out a row.  Its matrices
+    are (n, n) arrays, or (n,) diagonals for an LP cone, so that ``_mul`` and
+    ``_sym`` serve both.  The block images gt = g^T (one row per z-column)
+    are dense when they fit in _STACK_ENTRIES doubles, sparse otherwise."""
+
+    def __init__(self, block: Block, x0: np.ndarray, z_basis: sp.csr_matrix):
+        g = block.coeffs @ z_basis
+        g.eliminate_zeros()
+        f0 = block.coeffs @ x0 + block.const
+        nonzero = (np.diff(g.indptr) > 0) | (f0 != 0)
         if not block.diagonal:
             nonzero = nonzero.reshape(block.size, block.size).any(axis=1)
         keep = np.flatnonzero(nonzero)
         entries = keep if block.diagonal else (keep[:, None] * block.size + keep).ravel()
-        dropped |= len(keep) < block.size
-        if len(keep):
-            coeffs, const = block.coeffs[entries], block.const[entries]
-            blocks.append(Block(block.name, len(keep), coeffs, const, block.diagonal))
-    return blocks, live, dropped
-
-
-class _Cone:
-    """One block in z-space: F(z) = f0 + g z.  Its matrices are (n, n)
-    arrays, or (n,) diagonals for an LP cone, so that ``_mul`` and ``_sym``
-    serve both.  The block images gt = g^T (one row per z-column) are dense
-    when they fit in _STACK_ENTRIES doubles, sparse otherwise."""
-
-    def __init__(self, block: Block, x0: np.ndarray, z_basis: sp.csr_matrix):
-        self.size, self.diagonal = block.size, block.diagonal
-        gt = (block.coeffs @ z_basis).T.tocsr()
+        self.size, self.diagonal, self.dropped = len(keep), block.diagonal, len(keep) < block.size
+        gt = g[entries].T.tocsr()
         self.norms = spla.norm(gt, axis=1)  # |A_i|_F
         if gt.shape[0] * gt.shape[1] <= _STACK_ENTRIES:
             gt = gt.toarray()
         self.gt, self.g = gt, gt.T
-        self.f0 = block.coeffs @ x0 + block.const
+        self.f0 = f0[entries]
 
     def mat(self, v: np.ndarray) -> np.ndarray:
         return v if self.diagonal else v.reshape(self.size, self.size)
@@ -282,9 +274,9 @@ def _max_step(inv_factor: np.ndarray, d: np.ndarray) -> float:
 
 
 def _min_eig(mats: list[np.ndarray], dropped: bool) -> float:
-    """Minimum eigenvalue of the full blocks, whose rows dropped by the face
-    are zero: at most 0.0 if any was dropped.  NaN when a block is not
-    finite; LAPACK is never handed inf or NaN."""
+    """Minimum eigenvalue of the full blocks, whose dropped rows are zero: at
+    most 0.0 if any was dropped.  NaN when a block is not finite; LAPACK is
+    never handed inf or NaN."""
     worst = 0.0 if dropped else np.inf
     for mat in mats:
         low = _least_eig(mat)
@@ -339,10 +331,11 @@ def solve(
     optimal iterate, or the best one when it stops short (NaN off the face
     when it diverged), exactly 0.0 on the zero variables, and a report."""
     settings = settings or SolverSettings()
-    blocks, _, dropped = _blocks_on_face(problem)
     eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
     x0, z_basis = null_space(problem)
-    cones = [_Cone(block, x0, z_basis) for block in blocks]
+    cones = [_Cone(block, x0, z_basis) for block in problem.blocks]
+    dropped = any(cone.dropped for cone in cones)
+    cones = [cone for cone in cones if cone.size]
     c_z, c_x0 = z_basis.T @ c, float(c @ x0)
     m, degree = len(c_z), max(1, sum(cone.size for cone in cones))
     f0_norm = np.sqrt(sum(float(cone.f0 @ cone.f0) for cone in cones))
@@ -365,6 +358,9 @@ def solve(
             d_inf = float(np.linalg.norm(r_d)) / (1.0 + c_norm)
         return (gap, p_inf, d_inf), images, r_p, r_d
 
+    def eq_residual(z):  # max |E x - f| at x = x0 + Z z
+        return float(np.abs(eq @ (x0 + z_basis @ z) - f).max()) if eq.shape[0] else 0.0
+
     status, iterations, best = "max_iters", 0, None
     for it in range(settings.max_iters + 1):
         (gap, p_inf, d_inf), images, r_p, r_d = measure(z, xs, ss)
@@ -377,7 +373,8 @@ def solve(
         elif merit > _GROWTH * best[0] or mu > _GROWTH * best[1] or it - best_at > _PATIENCE:
             status = "stalled"
             break
-        if gap <= _GAP_TOL and d_inf <= _GAP_TOL and _min_eig(images, dropped) >= -settings.abs_tol:
+        converged = max(gap, d_inf) <= _GAP_TOL and _min_eig(images, dropped) >= -settings.abs_tol
+        if converged and eq_residual(z) <= settings.abs_tol:
             status = "optimal"
             break
         if it == settings.max_iters:
@@ -435,11 +432,11 @@ def solve(
     report = SolveReport(
         status=status,
         primal_objective=float(c @ x),
-        max_equality_residual=float(np.abs(eq @ x - f).max()) if eq.shape[0] else 0.0,
+        max_equality_residual=eq_residual(z),
         min_block_eigenvalue=_min_eig(images, dropped),
         iterations=iterations,
         relative_gap=gap,
-        primal_infeasibility=p_inf,
+        primal_infeasibility=float(p_inf),
         dual_infeasibility=d_inf,
     )
     return x, report

@@ -229,6 +229,40 @@ def test_hand_built_face_drops_a_zero_row():
     assert report.min_block_eigenvalue == 0.0
 
 
+def test_rows_the_substitution_zeroes_are_dropped():
+    # [[x1, x2], [x2, x3]] with x1 = x2 = 0 and no recorded face: the first
+    # row is zero on every feasible point, and only the substitution shows it
+    problem = ConicProblem(
+        num_vars=3,
+        blocks=[symmetric_variable_block(2, 3, {(0, 0): 0, (0, 1): 1, (1, 1): 2})],
+        eq_matrix=sp.csr_matrix(np.eye(3)[:2]),
+        eq_rhs=np.zeros(2),
+        objective=np.array([0.0, 0.0, 1.0]),
+        eq_pivots=np.array([0, 1]),
+    )
+    x0, z_basis = null_space(problem)
+    cone = solver._Cone(problem.blocks[0], x0, z_basis)
+    assert (cone.size, cone.dropped) == (1, True)
+    _, report = solve(problem)
+    assert report.status == "optimal"
+    assert report.min_block_eigenvalue == 0.0
+
+
+def test_optimal_needs_the_equality_residual(monkeypatch, u0, deg222):
+    # x0 off by 1e-3 at the first pivot: every iterate misses E x = f by
+    # that much, however well it does on the z-space problem
+    def shifted(problem):
+        x0, z_basis = null_space(problem)
+        x0 = x0.copy()
+        x0[problem.eq_pivots[0]] += 1e-3
+        return x0, z_basis
+
+    monkeypatch.setattr(solver, "null_space", shifted)
+    _, report = solve(build_problem(Linear(), deg222, u0))
+    assert report.status != "optimal"
+    assert report.max_equality_residual == pytest.approx(1e-3, rel=1e-6)
+
+
 @pytest.mark.parametrize("cost, status", [(0.0, "optimal"), (1.0, "stalled")])
 def test_variable_that_no_block_touches(cost, status):
     # min tr X + cost * w, X PSD 2x2, X11 = 1, where w touches no block and
