@@ -19,7 +19,12 @@ What is left is
 with c_z = Z^T c, F0_b the block at x0 and A_bi the block image of column i
 of Z; a diagonal block is a nonnegative orthant (an LP cone).  Its dual is
 max c.x0 - sum_b <F0_b, X_b> subject to sum_b <A_bi, X_b> = c_z,i and X_b
-PSD.  The solver is an infeasible-start primal-dual interior-point method
+PSD.  All blocks form one stacked operator F(z) = f0 + G z, set up by one
+product of the stacked block rows with Z, and every iterate and direction
+(S, X, dS, dX) is one flat vector with a view per block, so that F(z), the
+adjoint G^T X, the residuals and the step updates are one call each; the
+factorizations, S^-1, the Schur terms and the step lengths go block by
+block, as in SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw. 1999).  The solver is an infeasible-start primal-dual interior-point method
 with the HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
 Vanderbei and Wolkowicz, SIAM J. Optim. 1996; Todd, Toh and Tutuncu, SIAM J.
 Optim. 1998).  It starts from z = 0 and SDPT3's scaled identities S_b and
@@ -59,8 +64,9 @@ from .relaxation import Block, ConicProblem
 _SOLVE_CHUNK = 16
 # The relative duality gap and dual infeasibility that count as optimal.
 _GAP_TOL = 1e-8
-# Dense block images per chunk while forming the Schur complement: 2**20
-# doubles (8 MB), so a large block is never held as one (m, n, n) stack.
+# Doubles (8 MB) up to which the stacked block images are held dense, and
+# per chunk of dense images while forming the Schur complement, so that a
+# large block is never held as one (m, n, n) stack.
 _STACK_ENTRIES = 1 << 20
 # The merit max(gap, primal, dual infeasibility) and the complementarity
 # <X, S> / n may exceed their values at the best iterate by this factor
@@ -104,6 +110,8 @@ class SolveReport:
     relative_gap: float  # |primal - dual objective| / (1 + |primal| + |dual|)
     primal_infeasibility: float  # |F(z) - S| / (1 + |F0|), Frobenius norms
     dual_infeasibility: float  # |c_z - sum_b A_b^T X_b| / (1 + |c_z|)
+    z_dim: int  # columns of Z: the free parameters left by the equalities and the face
+    block_rows: list[int]  # rows each block keeps, in problem.blocks order; 0 if dropped
 
     def as_dict(self) -> dict:
         """Every field, in declaration order."""
@@ -134,7 +142,7 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     """
     live, dropped = problem.face()
     kept = ~dropped
-    eq, f = problem.eq_matrix[kept].tocsc(), problem.eq_rhs[kept]
+    eq, f = problem.eq_matrix[kept], problem.eq_rhs[kept]
     n, num_eq = problem.num_vars, len(f)
     if num_eq == 0:
         return np.zeros(n), sp.identity(n, format="csr")[:, live]
@@ -146,8 +154,10 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
         if num_eq > len(live_cols) or abs(r[num_eq - 1, num_eq - 1]) <= 1e-12 * abs(r[0, 0]):
             raise ValueError("equality rows are linearly dependent")
         pivots = live_cols[perm[:num_eq]]
-    free = np.setdiff1d(live_cols, pivots)
-    e_base, e_free = eq[:, pivots], eq[:, free]
+    live[pivots] = False  # the live columns left are free
+    free = np.flatnonzero(live)
+    eq = eq[:, np.concatenate([pivots, free])].tocsc()
+    e_base, e_free = eq[:, :num_eq], eq[:, num_eq:]
     try:
         lu = spla.splu(e_base)
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
@@ -167,62 +177,107 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
 
 
-class _Cone:
-    """One block in z-space: F(z) = f0 + g z, restricted to the rows that the
-    substitution x = x0 + Z z leaves nonzero (a full block to the same rows
-    and columns); ``dropped`` says whether it left out a row.  Its matrices
-    are (n, n) arrays, or (n,) diagonals for an LP cone, so that ``_mul`` and
-    ``_sym`` serve both.  The block images gt = g^T (one row per z-column)
-    are dense when they fit in _STACK_ENTRIES doubles, sparse otherwise."""
+def _kept_entries(mask: np.ndarray, blocks: list[Block]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Stacked indices of the entries that each block keeps on the rows where
+    ``mask`` holds (a full block: the rows with any such entry, and the same
+    columns), and those rows per block."""
+    entries, rows, lo = [np.zeros(0, dtype=np.int64)], [], 0
+    for block in blocks:
+        v, n = mask[lo : lo + block.vec_dim], block.size
+        keep = np.flatnonzero(v if block.diagonal else v.reshape(n, n).any(axis=1))
+        entries.append(lo + (keep if block.diagonal else (keep[:, None] * n + keep).ravel()))
+        rows.append(keep)
+        lo += block.vec_dim
+    return np.concatenate(entries), rows
 
-    def __init__(self, block: Block, x0: np.ndarray, z_basis: sp.csr_matrix):
-        g = block.coeffs @ z_basis
+
+class _Stack:
+    """Every block in z-space as one operator: F(z) = f0 + g z on the
+    concatenated rows that the substitution x = x0 + Z z leaves nonzero (a
+    full block keeps the same rows and columns).  ``rows`` holds each block's
+    kept rows, in ``problem.blocks`` order, and ``dropped`` says whether one
+    left out a row.  ``cones`` holds the blocks that kept rows, as (slice of
+    the flat vector, size, diagonal, block images gt[:, slice]); a full
+    block is stored row-major, a diagonal (LP) block as its diagonal.  The
+    images gt = g^T (one row per z-column) are dense when they fit in
+    _STACK_ENTRIES doubles, sparse otherwise."""
+
+    def __init__(self, problem: ConicProblem, x0: np.ndarray, z_basis: sp.csr_matrix):
+        blocks, m = problem.blocks, z_basis.shape[1]
+        coeffs = sp.vstack([b.coeffs for b in blocks] or [sp.csr_matrix((0, len(x0)))], "csr")
+        const = np.concatenate([b.const for b in blocks] + [np.zeros(0)])
+        # Rows on zero variables alone, with a zero constant, are exactly zero.
+        live = np.ones(problem.num_vars)
+        live[problem.zero_vars] = 0.0
+        rows, _ = _kept_entries((abs(coeffs) @ live != 0) | (const != 0), blocks)
+        coeffs = coeffs[rows]
+        g = coeffs @ z_basis
         g.eliminate_zeros()
-        f0 = block.coeffs @ x0 + block.const
-        nonzero = (np.diff(g.indptr) > 0) | (f0 != 0)
-        if not block.diagonal:
-            nonzero = nonzero.reshape(block.size, block.size).any(axis=1)
-        keep = np.flatnonzero(nonzero)
-        entries = keep if block.diagonal else (keep[:, None] * block.size + keep).ravel()
-        self.size, self.diagonal, self.dropped = len(keep), block.diagonal, len(keep) < block.size
-        gt = g[entries].T.tocsr()
-        self.norms = spla.norm(gt, axis=1)  # |A_i|_F
-        if gt.shape[0] * gt.shape[1] <= _STACK_ENTRIES:
+        f0 = coeffs @ x0 + const[rows]
+        nonzero = np.zeros(len(const), dtype=bool)
+        nonzero[rows] = (np.diff(g.indptr) > 0) | (f0 != 0)
+        entries, self.rows = _kept_entries(nonzero, blocks)
+        self.dropped = any(len(r) < b.size for r, b in zip(self.rows, blocks))
+        pick = np.searchsorted(rows, entries)  # the kept entries are among rows
+        g, self.f0, self.dim = g[pick], f0[pick], len(pick)
+        sizes = [(len(r), b.diagonal) for r, b in zip(self.rows, blocks) if len(r)]
+        lengths = np.array([n if diagonal else n * n for n, diagonal in sizes], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        # |A_bi|_F, one row per cone b: the squares summed by (cone, z-column)
+        owner = np.repeat(np.repeat(np.arange(len(sizes)), lengths), np.diff(g.indptr))
+        squares = np.bincount(owner * m + g.indices, g.data**2, len(sizes) * m)
+        self.norms = np.sqrt(squares).reshape(len(sizes), m)
+        gt = g.T.tocsr()
+        if m * self.dim <= _STACK_ENTRIES:
             gt = gt.toarray()
         self.gt, self.g = gt, gt.T
-        self.f0 = f0[entries]
+        self.perm = np.arange(self.dim)  # the flat index of each entry's transpose
+        self.cones = []
+        for (n, diagonal), lo, hi in zip(sizes, ends - lengths, ends):
+            if not diagonal:
+                self.perm[lo:hi] = lo + np.arange(n * n).reshape(n, n).T.ravel()
+            self.cones.append((slice(lo, hi), n, diagonal, gt[:, lo:hi]))
+        self.degree = max(1, sum(n for n, _ in sizes))
 
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        return v if self.diagonal else v.reshape(self.size, self.size)
+    def views(self, v: np.ndarray) -> list[np.ndarray]:
+        """Each cone's part of a flat vector: (n, n) views, or (n,) diagonals."""
+        return [v[sl] if diagonal else v[sl].reshape(n, n) for sl, n, diagonal, _ in self.cones]
 
-    def image(self, z: np.ndarray) -> np.ndarray:
-        return self.mat(self.f0 + self.g @ z)
+    def flat(self, mats) -> np.ndarray:
+        """The flat vector with each cone's part from ``mats``."""
+        out = np.empty(self.dim)
+        for (sl, *_), mat in zip(self.cones, mats):
+            out[sl] = mat.ravel()
+        return out
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.gt @ y.ravel()
+    def sym(self, v: np.ndarray) -> np.ndarray:
+        return 0.5 * (v + v[self.perm])
 
     def start(self, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """SDPT3's infeasible start X = xi I and S = eta I, with xi and eta
-        from the norms of the block's data and of the objective."""
-        n = self.size
-        ratio = float(np.max((1 + np.abs(c_z)) / (1 + self.norms), initial=0.0))
-        xi = max(10.0, np.sqrt(n), n * ratio)
-        eta = max(10.0, np.sqrt(n), self.norms.max(initial=0.0), np.linalg.norm(self.f0))
-        if self.diagonal:
-            return np.full(n, xi), np.full(n, eta)
-        return xi * np.eye(n), eta * np.eye(n)
+        """SDPT3's infeasible start X_b = xi_b I and S_b = eta_b I, with xi_b
+        and eta_b from the norms of the block's data and of the objective."""
+        x, s = np.zeros(self.dim), np.zeros(self.dim)
+        for (sl, n, diagonal, _), norms in zip(self.cones, self.norms):
+            ratio = float(np.max((1 + np.abs(c_z)) / (1 + norms), initial=0.0))
+            xi = max(10.0, np.sqrt(n), n * ratio)
+            eta = max(10.0, np.sqrt(n), norms.max(initial=0.0), np.linalg.norm(self.f0[sl]))
+            eye = np.ones(n) if diagonal else np.eye(n).ravel()
+            x[sl], s[sl] = xi * eye, eta * eye
+        return x, s
 
-    def schur(self, x: np.ndarray, s_inv: np.ndarray, out: np.ndarray) -> None:
-        """Add tr(A_i X A_j S^-1) to out[i, j]."""
-        if self.diagonal:
-            out += _dense(self.gt @ (sp.diags(x * s_inv) @ self.g))
-            return
-        n = self.size
-        step = max(1, _STACK_ENTRIES // (n * n))
-        for lo in range(0, out.shape[0], step):
-            a = _dense(self.gt[lo : lo + step]).reshape(-1, n, n)
-            t = x @ (a.reshape(-1, n) @ s_inv).reshape(a.shape)
-            out[:, lo : lo + len(a)] += self.gt @ t.reshape(len(a), n * n).T
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """M_ij = sum_b tr(A_bi X_b A_bj S_b^-1)."""
+        out = np.zeros((self.gt.shape[0],) * 2)
+        for (sl, n, diagonal, gt), xb, sb in zip(self.cones, self.views(x), self.views(s_inv)):
+            if diagonal:
+                out += _dense(gt @ (sp.diags(xb * sb) @ gt.T))
+                continue
+            step = max(1, _STACK_ENTRIES // (n * n))
+            for lo in range(0, len(out), step):
+                a = _dense(gt[lo : lo + step]).reshape(-1, n, n)
+                t = xb @ (a.reshape(-1, n) @ sb).reshape(a.shape)
+                out[:, lo : lo + len(a)] += gt @ t.reshape(len(a), n * n).T
+        return out
 
 
 def _dense(a) -> np.ndarray:
@@ -231,10 +286,6 @@ def _dense(a) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.ndim == 1 else a @ b
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return a if a.ndim == 1 else 0.5 * (a + a.T)
 
 
 def _inverse_factor(a: np.ndarray) -> np.ndarray | None:
@@ -252,13 +303,14 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray | None:
 
 
 def _least_eig(a: np.ndarray) -> float:
-    """The least eigenvalue of a symmetric matrix (of a diagonal: its least
-    entry), or NaN when a is not finite or LAPACK does not converge."""
+    """The least eigenvalue of a symmetric matrix, read from its lower
+    triangle (of a diagonal: its least entry), or NaN when a is not finite or
+    LAPACK does not converge."""
     if not np.isfinite(a).all():
         return np.nan
     if a.ndim == 1:
         return float(a.min())
-    w, _, _, _, info = _dsyevr(_sym(a), compute_v=0, range="I", il=1, iu=1, lower=1)
+    w, _, _, _, info = _dsyevr(a, compute_v=0, range="I", il=1, iu=1, lower=1)
     return float(w[0]) if info == 0 else np.nan
 
 
@@ -286,19 +338,11 @@ def _min_eig(mats: list[np.ndarray], dropped: bool) -> float:
     return worst if mats else 0.0
 
 
-def _adjoint(cones: list[_Cone], mats: list[np.ndarray], m: int) -> np.ndarray:
-    """sum_b A_b^T Y_b."""
-    return sum((cone.adjoint(y) for cone, y in zip(cones, mats)), np.zeros(m))
-
-
-def _inner(a: list[np.ndarray], b: list[np.ndarray]) -> float:
-    return sum(float(np.sum(u * v)) for u, v in zip(a, b))
-
-
-def _newton(cones, lu, xs, s_inv, r_p, r_d, sigma_mu, corr, passes):
+def _newton(op, lu, x, s_inv, r_p, r_d, sigma_mu, corr, passes):
     """The HKM direction (dz, dS, dX) toward X S = sigma_mu I, with corr the
-    corrector's second-order term (dX dS of the predictor), or None when a
-    right-hand side is not finite.
+    corrector's second-order term (dX dS of the predictor, per block), or
+    None when a right-hand side is not finite.  Every argument but the LU
+    and sigma_mu is flat.
 
     dS = A(dz) + R_p and dX = sigma_mu S^-1 - X - (X dS + corr) S^-1,
     symmetrized, where M dz makes sum_b A_b^T dX_b = r_d.  Forming dX loses
@@ -306,21 +350,19 @@ def _newton(cones, lu, xs, s_inv, r_p, r_d, sigma_mu, corr, passes):
     after the first solves for what it lost, with the same LU, and adds the
     correction, whose own rounding is as small as it is.
     """
-    m = len(r_d)
-    dz, ds = np.zeros(m), r_p
-    dx = [
-        _sym(sigma_mu * si - x - _mul(_mul(x, r) + k, si))
-        for x, r, k, si in zip(xs, r_p, corr, s_inv)
-    ]
+    xs, si = op.views(x), op.views(s_inv)
+    dz, ds = np.zeros(len(r_d)), r_p
+    terms = zip(xs, op.views(r_p), op.views(corr), si)
+    dx = op.sym(sigma_mu * s_inv - x - op.flat(_mul(_mul(u, r) + k, v) for u, r, k, v in terms))
     for _ in range(passes):
-        err = _adjoint(cones, dx, m) - r_d
+        err = op.gt @ dx - r_d
         if not np.isfinite(err).all():
             return None
         delta = scipy.linalg.lu_solve(lu, err, check_finite=False)
-        image = [cone.mat(cone.g @ delta) for cone in cones]
-        dz = dz + delta
-        ds = [d + a for d, a in zip(ds, image)]
-        dx = [d - _sym(_mul(_mul(x, a), si)) for d, x, a, si in zip(dx, xs, image, s_inv)]
+        image = op.g @ delta
+        dz, ds = dz + delta, ds + image
+        terms = zip(xs, op.views(image), si)
+        dx = dx - op.sym(op.flat(_mul(_mul(u, a), v) for u, a, v in terms))
     return dz, ds, dx
 
 
@@ -333,30 +375,26 @@ def solve(
     settings = settings or SolverSettings()
     eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
     x0, z_basis = null_space(problem)
-    cones = [_Cone(block, x0, z_basis) for block in problem.blocks]
-    dropped = any(cone.dropped for cone in cones)
-    cones = [cone for cone in cones if cone.size]
+    op = _Stack(problem, x0, z_basis)
     c_z, c_x0 = z_basis.T @ c, float(c @ x0)
-    m, degree = len(c_z), max(1, sum(cone.size for cone in cones))
-    f0_norm = np.sqrt(sum(float(cone.f0 @ cone.f0) for cone in cones))
-    c_norm = float(np.linalg.norm(c_z))
+    m = len(c_z)
+    f0_norm, c_norm = float(np.linalg.norm(op.f0)), float(np.linalg.norm(c_z))
 
     z = np.zeros(m)
-    starts = [cone.start(c_z) for cone in cones]
-    xs, ss = [x for x, _ in starts], [s for _, s in starts]
+    xs, ss = op.start(c_z)
 
     def measure(z, xs, ss):
         """(Relative gap, primal and dual infeasibility), F(z), R_p and r_d."""
-        images = [cone.image(z) for cone in cones]
-        r_p = [fz - s for fz, s in zip(images, ss)]
-        r_d = c_z - _adjoint(cones, xs, m)
+        image = op.f0 + op.g @ z
+        r_p = image - ss
+        r_d = c_z - op.gt @ xs
         with np.errstate(over="ignore", invalid="ignore"):
             primal = c_x0 + float(c_z @ z)
-            dual = c_x0 - sum(float(cone.f0 @ x.ravel()) for cone, x in zip(cones, xs))
+            dual = c_x0 - float(op.f0 @ xs)
             gap = abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
-            p_inf = np.sqrt(_inner(r_p, r_p)) / (1.0 + f0_norm)
+            p_inf = float(np.linalg.norm(r_p)) / (1.0 + f0_norm)
             d_inf = float(np.linalg.norm(r_d)) / (1.0 + c_norm)
-        return (gap, p_inf, d_inf), images, r_p, r_d
+        return (gap, p_inf, d_inf), op.views(image), r_p, r_d
 
     def eq_residual(z):  # max |E x - f| at x = x0 + Z z
         return float(np.abs(eq @ (x0 + z_basis @ z) - f).max()) if eq.shape[0] else 0.0
@@ -364,7 +402,7 @@ def solve(
     status, iterations, best = "max_iters", 0, None
     for it in range(settings.max_iters + 1):
         (gap, p_inf, d_inf), images, r_p, r_d = measure(z, xs, ss)
-        merit, mu = max(gap, p_inf, d_inf), _inner(xs, ss) / degree
+        merit, mu = max(gap, p_inf, d_inf), float(xs @ ss) / op.degree
         if not np.isfinite(merit):
             status = "infeasible_suspect"
             break
@@ -373,22 +411,20 @@ def solve(
         elif merit > _GROWTH * best[0] or mu > _GROWTH * best[1] or it - best_at > _PATIENCE:
             status = "stalled"
             break
-        converged = max(gap, d_inf) <= _GAP_TOL and _min_eig(images, dropped) >= -settings.abs_tol
+        converged = max(gap, d_inf) <= _GAP_TOL and _min_eig(images, op.dropped) >= -settings.abs_tol
         if converged and eq_residual(z) <= settings.abs_tol:
             status = "optimal"
             break
         if it == settings.max_iters:
             break
 
-        inv_s = [_inverse_factor(s) for s in ss]
-        inv_x = [_inverse_factor(x) for x in xs]
+        inv_s = [_inverse_factor(s) for s in op.views(ss)]
+        inv_x = [_inverse_factor(x) for x in op.views(xs)]
         if any(v is None for v in inv_s + inv_x):
             status = "stalled"
             break
-        s_inv = [v * v if v.ndim == 1 else _sym(v.T @ v) for v in inv_s]
-        schur = np.zeros((m, m))
-        for cone, x, si in zip(cones, xs, s_inv):
-            cone.schur(x, si, schur)
+        s_inv = op.sym(op.flat(v * v if v.ndim == 1 else v.T @ v for v in inv_s))
+        schur = op.schur(xs, s_inv)
         untouched = np.flatnonzero(np.diag(schur) == 0)  # z-columns no block touches
         schur[untouched, untouched] = 1.0
         if not np.isfinite(schur).all():
@@ -398,30 +434,27 @@ def solve(
         iterations = it + 1
 
         def step_lengths(ds, dx, gamma):
-            primal = min([_max_step(v, d) for v, d in zip(inv_s, ds)], default=np.inf)
-            dual = min([_max_step(v, d) for v, d in zip(inv_x, dx)], default=np.inf)
+            primal = min([_max_step(v, d) for v, d in zip(inv_s, op.views(ds))], default=np.inf)
+            dual = min([_max_step(v, d) for v, d in zip(inv_x, op.views(dx))], default=np.inf)
             return min(1.0, gamma * primal), min(1.0, gamma * dual)
 
         # Mehrotra: the predictor's reach sets the centering and the corrector.
-        pred = _newton(cones, lu, xs, s_inv, r_p, r_d, 0.0, [np.zeros_like(x) for x in xs], 1)
+        pred = _newton(op, lu, xs, s_inv, r_p, r_d, 0.0, np.zeros(op.dim), 1)
         if pred is None:
             status = "infeasible_suspect"
             break
         _, ds, dx = pred
         a_p, a_d = step_lengths(ds, dx, 1.0)
-        x_aff = [x + a_d * d for x, d in zip(xs, dx)]
-        mu_aff = _inner(x_aff, [s + a_p * d for s, d in zip(ss, ds)]) / degree
+        mu_aff = float((xs + a_d * dx) @ (ss + a_p * ds)) / op.degree
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3) if mu > 0 else 0.0
-        corr = [_mul(x, s) for x, s in zip(dx, ds)]
-        step = _newton(cones, lu, xs, s_inv, r_p, r_d, sigma * mu, corr, 2)
+        corr = op.flat(_mul(u, v) for u, v in zip(op.views(dx), op.views(ds)))
+        step = _newton(op, lu, xs, s_inv, r_p, r_d, sigma * mu, corr, 2)
         if step is None:
             status = "infeasible_suspect"
             break
         dz, ds, dx = step
         a_p, a_d = step_lengths(ds, dx, 0.9 + 0.09 * min(a_p, a_d))
-        z = z + a_p * dz
-        ss = [s + a_p * d for s, d in zip(ss, ds)]
-        xs = [x + a_d * d for x, d in zip(xs, dx)]
+        z, ss, xs = z + a_p * dz, ss + a_p * ds, xs + a_d * dx
 
     if status == "infeasible_suspect":
         z = np.full(m, np.nan)  # the iterate left the finite range
@@ -433,10 +466,12 @@ def solve(
         status=status,
         primal_objective=float(c @ x),
         max_equality_residual=eq_residual(z),
-        min_block_eigenvalue=_min_eig(images, dropped),
+        min_block_eigenvalue=_min_eig(images, op.dropped),
         iterations=iterations,
         relative_gap=gap,
-        primal_infeasibility=float(p_inf),
+        primal_infeasibility=p_inf,
         dual_infeasibility=d_inf,
+        z_dim=m,
+        block_rows=[len(r) for r in op.rows],
     )
     return x, report

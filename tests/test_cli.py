@@ -200,6 +200,8 @@ def test_solve_subcommand(tmp_path, capsys):
         "relative_gap",
         "primal_infeasibility",
         "dual_infeasibility",
+        "z_dim",
+        "block_rows",
         "runtime_seconds",
         "degrees",
         "model",

@@ -10,6 +10,7 @@ from momentpde import solver
 from momentpde.indices import TruncationDegrees
 from momentpde.models import DistributedQuadratic, InitialData, Linear, LocalQuadratic
 from momentpde.relaxation import Block, ConicProblem, build_problem
+from momentpde.sdpa import from_sdpa_data, to_sdpa_data
 from momentpde.solver import SolverSettings, null_space, project_psd, solve
 
 NO_FACE = np.zeros(0, dtype=np.int64)
@@ -165,7 +166,7 @@ def trace_plus_mass(scale):
         (Linear(), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 10, 5.959644276756003),
         (LocalQuadratic(0.1), (2, 2, 2), scaled_by(1.0), 50000, "optimal", 14, 7.188158528009831),
         (Linear(), (4, 2, 2), scaled_by(1.0), 200, "optimal", 12, 6.442642684145424),
-        (Linear(), (2, 2, 2), scaled_by(1e-4), 50000, "optimal", 10, 5.959650413805223e-4),
+        (Linear(), (2, 2, 2), scaled_by(1e-4), 50000, "optimal", 10, 5.95965033839165e-4),
         (Linear(), (2, 2, 2), trace_plus_mass(1e-4), 50000, "optimal", 10, 1.0004959650413805),
     ],
     ids=["linear-222", "local-222", "linear-422-200", "linear-222-scaled", "linear-222-mass"],
@@ -241,11 +242,59 @@ def test_rows_the_substitution_zeroes_are_dropped():
         eq_pivots=np.array([0, 1]),
     )
     x0, z_basis = null_space(problem)
-    cone = solver._Cone(problem.blocks[0], x0, z_basis)
-    assert (cone.size, cone.dropped) == (1, True)
+    op = solver._Stack(problem, x0, z_basis)
+    assert ([len(r) for r in op.rows], op.dropped) == ([1], True)
     _, report = solve(problem)
     assert report.status == "optimal"
     assert report.min_block_eigenvalue == 0.0
+    assert (report.z_dim, report.block_rows) == (1, [1])
+
+
+def stacked_problem(u0, case):
+    if case == "linear-444":
+        return build_problem(Linear(), TruncationDegrees(4, 4, 4), u0)
+    if case == "distributed-222":
+        return build_problem(DistributedQuadratic(0.1), TruncationDegrees(2, 2, 2), u0)
+    if case == "sdpa-222":  # the equalities come back as a diagonal block
+        return from_sdpa_data(to_sdpa_data(build_problem(Linear(), TruncationDegrees(2, 2, 2), u0)))
+    return build_problem(LocalQuadratic(0.1), TruncationDegrees(4, 4, 2), u0)
+
+
+@pytest.mark.parametrize(
+    "case, sparse_images",
+    [("linear-444", False), ("distributed-222", False), ("sdpa-222", False), ("local-442", True)],
+)
+def test_stacked_operator_matches_each_block(u0, case, sparse_images):
+    # each block's part of f0 + G z, G^T x and the Schur complement, against
+    # the same quantities formed block by block from the kept rows
+    problem = stacked_problem(u0, case)
+    x0, z_basis = null_space(problem)
+    op = solver._Stack(problem, x0, z_basis)
+    assert sp.issparse(op.gt) == sparse_images
+    assert any(b.diagonal for b in problem.blocks) == (case == "sdpa-222")
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=z_basis.shape[1])
+    x = x0 + z_basis @ z
+    kept = [(b, r) for b, r in zip(problem.blocks, op.rows) if len(r)]
+    assert len(op.cones) == len(kept)
+    ys = [rng.normal(size=(len(r),) * (1 if b.diagonal else 2)) for b, r in kept]
+    ys = [y if y.ndim == 1 else y @ y.T for y in ys]  # positive (semi)definite
+    adjoint, schur = np.zeros(len(z)), np.zeros((len(z), len(z)))
+    for (block, rows), view, y in zip(kept, op.views(op.f0 + op.g @ z), ys):
+        n = block.size
+        entries = rows if block.diagonal else (rows[:, None] * n + rows).ravel()
+        want = (block.coeffs @ x + block.const)[entries]
+        assert np.abs(view.ravel() - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        a = (block.coeffs[entries] @ z_basis).toarray().T  # row i: A_bi
+        adjoint += a @ y.ravel()
+        if block.diagonal:
+            schur += (a * (y * y)) @ a.T
+        else:
+            t = y @ a.reshape(len(z), len(rows), len(rows)) @ y  # Y A_bj Y
+            schur += a @ t.reshape(len(z), -1).T
+    flat = op.flat(ys)
+    assert np.abs(op.gt @ flat - adjoint).max() <= 1e-12 * max(1.0, np.abs(adjoint).max())
+    assert np.abs(op.schur(flat, flat) - schur).max() <= 1e-12 * max(1.0, np.abs(schur).max())
 
 
 def test_optimal_needs_the_equality_residual(monkeypatch, u0, deg222):
