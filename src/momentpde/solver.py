@@ -19,12 +19,13 @@ What is left is
 with c_z = Z^T c, F0_b the block at x0 and A_bi the block image of column i
 of Z; a diagonal block is a nonnegative orthant (an LP cone).  Its dual is
 max c.x0 - sum_b <F0_b, X_b> subject to sum_b <A_bi, X_b> = c_z,i and X_b
-PSD.  All blocks form one stacked operator F(z) = f0 + G z, set up by one
-product of the stacked block rows with Z, and every iterate and direction
-(S, X, dS, dX) is one flat vector with a view per block, so that F(z), the
-adjoint G^T X, the residuals and the step updates are one call each; the
+PSD.  As in SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw. 1999), all
+blocks form one stacked operator F(z) = f0 + G z, set up by one product of
+the stacked block rows with Z, and every iterate and direction (S, X, dS,
+dX) is one flat vector with a view per block, so that F(z), the adjoint
+G^T X, the residuals and the step updates are one call each; the
 factorizations, S^-1, the Schur terms and the step lengths go block by
-block, as in SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw. 1999).  The solver is an infeasible-start primal-dual interior-point method
+block.  The solver is an infeasible-start primal-dual interior-point method
 with the HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
 Vanderbei and Wolkowicz, SIAM J. Optim. 1996; Todd, Toh and Tutuncu, SIAM J.
 Optim. 1998).  It starts from z = 0 and SDPT3's scaled identities S_b and
@@ -244,11 +245,8 @@ class _Stack:
         return [v[sl] if diagonal else v[sl].reshape(n, n) for sl, n, diagonal, _ in self.cones]
 
     def flat(self, mats) -> np.ndarray:
-        """The flat vector with each cone's part from ``mats``."""
-        out = np.empty(self.dim)
-        for (sl, *_), mat in zip(self.cones, mats):
-            out[sl] = mat.ravel()
-        return out
+        """The flat vector with each cone's part from ``mats``, in cone order."""
+        return np.concatenate([mat.ravel() for mat in mats] + [np.zeros(0)])
 
     def sym(self, v: np.ndarray) -> np.ndarray:
         return 0.5 * (v + v[self.perm])
