@@ -17,19 +17,21 @@ What is left is
   min c_z.z  subject to  F_b(z) = F0_b + sum_i z_i A_bi  PSD for every b,
 
 with c_z = Z^T c, F0_b the block at x0 and A_bi the block image of column i
-of Z; a diagonal block is a nonnegative orthant (an LP cone).  Its dual is
+of Z.  Every cone is a stack of k equal n x n blocks: a full block is a
+stack of one, a diagonal (LP) block a stack of 1 x 1 blocks, one per row,
+so that its cone is the nonnegative orthant.  The dual is
 max c.x0 - sum_b <F0_b, X_b> subject to sum_b <A_bi, X_b> = c_z,i and X_b
 PSD.  As in SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw. 1999), all
-blocks form one stacked operator F(z) = f0 + G z, set up by one product of
+cones form one stacked operator F(z) = f0 + G z, set up by one product of
 the stacked block rows with Z, and every iterate and direction (S, X, dS,
-dX) is one flat vector with a view per block, so that F(z), the adjoint
-G^T X, the residuals and the step updates are one call each; the
-factorizations, S^-1, the Schur terms and the step lengths go block by
-block.  The solver is an infeasible-start primal-dual interior-point method
-with the HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
-Vanderbei and Wolkowicz, SIAM J. Optim. 1996; Todd, Toh and Tutuncu, SIAM J.
-Optim. 1998).  It starts from z = 0 and SDPT3's scaled identities S_b and
-X_b, and each iteration
+dX) is one flat vector with a (k, n, n) view per cone, so that F(z), the
+adjoint G^T X, the residuals and the step updates are one call each, and
+S^-1, the HKM products and the step-length scalings one batched product
+per cone.  The solver is an infeasible-start primal-dual interior-point
+method with the HKM direction and Mehrotra's predictor-corrector (Helmberg,
+Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996; Todd, Toh and Tutuncu,
+SIAM J. Optim. 1998).  It starts from z = 0 and SDPT3's scaled identities
+S_b and X_b, and each iteration
 
   1. forms the Schur complement M_ij = sum_b tr(A_bi X_b A_bj S_b^-1) and
      factors it by one dense LU (a z-column that no block touches gets a
@@ -197,9 +199,10 @@ class _Stack:
     concatenated rows that the substitution x = x0 + Z z leaves nonzero (a
     full block keeps the same rows and columns).  ``rows`` holds each block's
     kept rows, in ``problem.blocks`` order, and ``dropped`` says whether one
-    left out a row.  ``cones`` holds the blocks that kept rows, as (slice of
-    the flat vector, size, diagonal, block images gt[:, slice]); a full
-    block is stored row-major, a diagonal (LP) block as its diagonal.  The
+    left out a row.  ``cones`` holds the blocks that kept rows, each as a
+    stack of k equal n x n blocks: (slice of the flat vector, k, n, block
+    images gt[:, slice]).  A full block is a stack of one, stored row-major;
+    a diagonal (LP) block is a stack of 1 x 1 blocks, one per kept row.  The
     images gt = g^T (one row per z-column) are dense when they fit in
     _STACK_ENTRIES doubles, sparse otherwise."""
 
@@ -207,42 +210,34 @@ class _Stack:
         blocks, m = problem.blocks, z_basis.shape[1]
         coeffs = sp.vstack([b.coeffs for b in blocks] or [sp.csr_matrix((0, len(x0)))], "csr")
         const = np.concatenate([b.const for b in blocks] + [np.zeros(0)])
-        # Rows on zero variables alone, with a zero constant, are exactly zero.
-        live = np.ones(problem.num_vars)
-        live[problem.zero_vars] = 0.0
-        rows, _ = _kept_entries((abs(coeffs) @ live != 0) | (const != 0), blocks)
-        coeffs = coeffs[rows]
         g = coeffs @ z_basis
         g.eliminate_zeros()
-        f0 = coeffs @ x0 + const[rows]
-        nonzero = np.zeros(len(const), dtype=bool)
-        nonzero[rows] = (np.diff(g.indptr) > 0) | (f0 != 0)
-        entries, self.rows = _kept_entries(nonzero, blocks)
+        f0 = coeffs @ x0 + const
+        entries, self.rows = _kept_entries((np.diff(g.indptr) > 0) | (f0 != 0), blocks)
         self.dropped = any(len(r) < b.size for r, b in zip(self.rows, blocks))
-        pick = np.searchsorted(rows, entries)  # the kept entries are among rows
-        g, self.f0, self.dim = g[pick], f0[pick], len(pick)
-        sizes = [(len(r), b.diagonal) for r, b in zip(self.rows, blocks) if len(r)]
-        lengths = np.array([n if diagonal else n * n for n, diagonal in sizes], dtype=np.int64)
+        g, self.f0, self.dim = g[entries], f0[entries], len(entries)
+        shapes = [(len(r), 1) if b.diagonal else (1, len(r)) for r, b in zip(self.rows, blocks)]
+        shapes = [(k, n) for k, n in shapes if k * n]
+        lengths = np.array([k * n * n for k, n in shapes], dtype=np.int64)
         ends = np.cumsum(lengths)
         # |A_bi|_F, one row per cone b: the squares summed by (cone, z-column)
-        owner = np.repeat(np.repeat(np.arange(len(sizes)), lengths), np.diff(g.indptr))
-        squares = np.bincount(owner * m + g.indices, g.data**2, len(sizes) * m)
-        self.norms = np.sqrt(squares).reshape(len(sizes), m)
+        owner = np.repeat(np.repeat(np.arange(len(shapes)), lengths), np.diff(g.indptr))
+        squares = np.bincount(owner * m + g.indices, g.data**2, len(shapes) * m)
+        self.norms = np.sqrt(squares).reshape(len(shapes), m)
         gt = g.T.tocsr()
         if m * self.dim <= _STACK_ENTRIES:
             gt = gt.toarray()
         self.gt, self.g = gt, gt.T
         self.perm = np.arange(self.dim)  # the flat index of each entry's transpose
         self.cones = []
-        for (n, diagonal), lo, hi in zip(sizes, ends - lengths, ends):
-            if not diagonal:
-                self.perm[lo:hi] = lo + np.arange(n * n).reshape(n, n).T.ravel()
-            self.cones.append((slice(lo, hi), n, diagonal, gt[:, lo:hi]))
-        self.degree = max(1, sum(n for n, _ in sizes))
+        for (k, n), lo, hi in zip(shapes, ends - lengths, ends):
+            self.perm[lo:hi] = lo + np.arange(hi - lo).reshape(k, n, n).transpose(0, 2, 1).ravel()
+            self.cones.append((slice(lo, hi), k, n, gt[:, lo:hi]))
+        self.degree = max(1, sum(k * n for k, n in shapes))
 
     def views(self, v: np.ndarray) -> list[np.ndarray]:
-        """Each cone's part of a flat vector: (n, n) views, or (n,) diagonals."""
-        return [v[sl] if diagonal else v[sl].reshape(n, n) for sl, n, diagonal, _ in self.cones]
+        """Each cone's part of a flat vector, as a (k, n, n) stack."""
+        return [v[sl].reshape(k, n, n) for sl, k, n, _ in self.cones]
 
     def flat(self, mats) -> np.ndarray:
         """The flat vector with each cone's part from ``mats``, in cone order."""
@@ -255,25 +250,25 @@ class _Stack:
         """SDPT3's infeasible start X_b = xi_b I and S_b = eta_b I, with xi_b
         and eta_b from the norms of the block's data and of the objective."""
         x, s = np.zeros(self.dim), np.zeros(self.dim)
-        for (sl, n, diagonal, _), norms in zip(self.cones, self.norms):
+        for (sl, k, n, _), norms in zip(self.cones, self.norms):
             ratio = float(np.max((1 + np.abs(c_z)) / (1 + norms), initial=0.0))
-            xi = max(10.0, np.sqrt(n), n * ratio)
-            eta = max(10.0, np.sqrt(n), norms.max(initial=0.0), np.linalg.norm(self.f0[sl]))
-            eye = np.ones(n) if diagonal else np.eye(n).ravel()
+            xi = max(10.0, np.sqrt(k * n), k * n * ratio)
+            eta = max(10.0, np.sqrt(k * n), norms.max(initial=0.0), np.linalg.norm(self.f0[sl]))
+            eye = np.tile(np.eye(n).ravel(), k)
             x[sl], s[sl] = xi * eye, eta * eye
         return x, s
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """M_ij = sum_b tr(A_bi X_b A_bj S_b^-1)."""
         out = np.zeros((self.gt.shape[0],) * 2)
-        for (sl, n, diagonal, gt), xb, sb in zip(self.cones, self.views(x), self.views(s_inv)):
-            if diagonal:
-                out += _dense(gt @ (sp.diags(xb * sb) @ gt.T))
+        for (_, k, n, gt), xb, sb in zip(self.cones, self.views(x), self.views(s_inv)):
+            if n == 1:  # sparse images stay sparse
+                out += _dense(gt @ (sp.diags((xb * sb).ravel()) @ gt.T))
                 continue
-            step = max(1, _STACK_ENTRIES // (n * n))
+            step = max(1, _STACK_ENTRIES // (n * n))  # a stack of one n x n block
             for lo in range(0, len(out), step):
                 a = _dense(gt[lo : lo + step]).reshape(-1, n, n)
-                t = xb @ (a.reshape(-1, n) @ sb).reshape(a.shape)
+                t = xb[0] @ (a.reshape(-1, n) @ sb[0]).reshape(a.shape)
                 out[:, lo : lo + len(a)] += gt @ t.reshape(len(a), n * n).T
         return out
 
@@ -282,33 +277,30 @@ def _dense(a) -> np.ndarray:
     return a.toarray() if sp.issparse(a) else a
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a * b if a.ndim == 1 else a @ b
-
-
 def _inverse_factor(a: np.ndarray) -> np.ndarray | None:
-    """L^-1 for a = L L^T (1 / sqrt(a) on a diagonal), or None when a is not
-    numerically positive definite.  LAPACK is never handed inf or NaN."""
+    """L^-1 for each block of a stack a = L L^T (1 / sqrt(a) for 1 x 1
+    blocks), or None when a block is not numerically positive definite.
+    LAPACK is never handed inf or NaN."""
     if not np.isfinite(a).all():
         return None
-    if a.ndim == 1:
+    if a.shape[1] == 1:
         return 1.0 / np.sqrt(a) if (a > 0).all() else None
-    low, info = _dpotrf(a, lower=1)
+    low, info = _dpotrf(a[0], lower=1)
     if info != 0:
         return None
     inv, info = _dtrtri(low, lower=1)
-    return inv if info == 0 else None
+    return inv[None] if info == 0 else None
 
 
 def _least_eig(a: np.ndarray) -> float:
-    """The least eigenvalue of a symmetric matrix, read from its lower
-    triangle (of a diagonal: its least entry), or NaN when a is not finite or
-    LAPACK does not converge."""
+    """The least eigenvalue of a stack of symmetric blocks, read from their
+    lower triangles (of 1 x 1 blocks: the least entry), or NaN when a is not
+    finite or LAPACK does not converge."""
     if not np.isfinite(a).all():
         return np.nan
-    if a.ndim == 1:
+    if a.shape[1] == 1:
         return float(a.min())
-    w, _, _, _, info = _dsyevr(a, compute_v=0, range="I", il=1, iu=1, lower=1)
+    w, _, _, _, info = _dsyevr(a[0], compute_v=0, range="I", il=1, iu=1, lower=1)
     return float(w[0]) if info == 0 else np.nan
 
 
@@ -316,8 +308,7 @@ def _max_step(inv_factor: np.ndarray, d: np.ndarray) -> float:
     """The largest alpha with L L^T + alpha d PSD, from the least eigenvalue of
     L^-1 d L^-T (inf when every alpha is); 0.0 when that eigenvalue cannot be
     found."""
-    scaled = d * inv_factor**2 if d.ndim == 1 else inv_factor @ d @ inv_factor.T
-    low = _least_eig(scaled)
+    low = _least_eig(inv_factor @ d @ np.swapaxes(inv_factor, 1, 2))
     if np.isnan(low):
         return 0.0
     return -1.0 / low if low < 0 else np.inf
@@ -351,7 +342,7 @@ def _newton(op, lu, x, s_inv, r_p, r_d, sigma_mu, corr, passes):
     xs, si = op.views(x), op.views(s_inv)
     dz, ds = np.zeros(len(r_d)), r_p
     terms = zip(xs, op.views(r_p), op.views(corr), si)
-    dx = op.sym(sigma_mu * s_inv - x - op.flat(_mul(_mul(u, r) + k, v) for u, r, k, v in terms))
+    dx = op.sym(sigma_mu * s_inv - x - op.flat((u @ r + k) @ v for u, r, k, v in terms))
     for _ in range(passes):
         err = op.gt @ dx - r_d
         if not np.isfinite(err).all():
@@ -360,7 +351,7 @@ def _newton(op, lu, x, s_inv, r_p, r_d, sigma_mu, corr, passes):
         image = op.g @ delta
         dz, ds = dz + delta, ds + image
         terms = zip(xs, op.views(image), si)
-        dx = dx - op.sym(op.flat(_mul(_mul(u, a), v) for u, a, v in terms))
+        dx = dx - op.sym(op.flat(u @ a @ v for u, a, v in terms))
     return dz, ds, dx
 
 
@@ -421,7 +412,7 @@ def solve(
         if any(v is None for v in inv_s + inv_x):
             status = "stalled"
             break
-        s_inv = op.sym(op.flat(v * v if v.ndim == 1 else v.T @ v for v in inv_s))
+        s_inv = op.sym(op.flat(np.swapaxes(v, 1, 2) @ v for v in inv_s))
         schur = op.schur(xs, s_inv)
         untouched = np.flatnonzero(np.diag(schur) == 0)  # z-columns no block touches
         schur[untouched, untouched] = 1.0
@@ -445,7 +436,7 @@ def solve(
         a_p, a_d = step_lengths(ds, dx, 1.0)
         mu_aff = float((xs + a_d * dx) @ (ss + a_p * ds)) / op.degree
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3) if mu > 0 else 0.0
-        corr = op.flat(_mul(u, v) for u, v in zip(op.views(dx), op.views(ds)))
+        corr = op.flat(u @ v for u, v in zip(op.views(dx), op.views(ds)))
         step = _newton(op, lu, xs, s_inv, r_p, r_d, sigma * mu, corr, 2)
         if step is None:
             status = "infeasible_suspect"
