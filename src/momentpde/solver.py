@@ -45,13 +45,16 @@ S_b and X_b, and each iteration
 It stops at the status "optimal" once the relative duality gap and the dual
 infeasibility are at most _GAP_TOL, and F(z) is PSD and E x = f hold within
 ``abs_tol``.  Once the residuals or <X, S> grow, the residuals stop
-improving, or S or X is no longer numerically positive definite, it stops at
-the best iterate ("stalled"); an iterate that leaves the finite range ends
-"infeasible_suspect", with NaN off the face.  Everything is deterministic.
+improving, S or X is no longer numerically positive definite, or the Schur
+complement has an exactly zero pivot, it stops at the best iterate
+("stalled"); a residual or iterate that leaves the finite range (NaN
+included) ends "infeasible_suspect", with NaN off the face.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,6 +62,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgWarning
 
 from .relaxation import Block, ConicProblem
 
@@ -364,13 +368,13 @@ def solve(
     settings = settings or SolverSettings()
     eq, f, c = problem.eq_matrix, problem.eq_rhs, problem.objective
     x0, z_basis = null_space(problem)
-    op = _Stack(problem, x0, z_basis)
     c_z, c_x0 = z_basis.T @ c, float(c @ x0)
     m = len(c_z)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge data: the merit is NaN
+        op = _Stack(problem, x0, z_basis)
+        xs, ss = op.start(c_z)
     f0_norm, c_norm = float(np.linalg.norm(op.f0)), float(np.linalg.norm(c_z))
-
     z = np.zeros(m)
-    xs, ss = op.start(c_z)
 
     def measure(z, xs, ss):
         """(Relative gap, primal and dual infeasibility), F(z), R_p and r_d."""
@@ -391,7 +395,7 @@ def solve(
     status, iterations, best = "max_iters", 0, None
     for it in range(settings.max_iters + 1):
         (gap, p_inf, d_inf), images, r_p, r_d = measure(z, xs, ss)
-        merit, mu = max(gap, p_inf, d_inf), float(xs @ ss) / op.degree
+        merit, mu = float(np.max([gap, p_inf, d_inf])), float(xs @ ss) / op.degree
         if not np.isfinite(merit):
             status = "infeasible_suspect"
             break
@@ -419,8 +423,13 @@ def solve(
         if not np.isfinite(schur).all():
             status = "infeasible_suspect"
             break
-        lu = scipy.linalg.lu_factor(schur, check_finite=False)
+        with warnings.catch_warnings():  # an exactly zero pivot stops below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu = scipy.linalg.lu_factor(schur, check_finite=False)
         iterations = it + 1
+        if not np.diag(lu[0]).all():
+            status = "stalled"
+            break
 
         def step_lengths(ds, dx, gamma):
             primal = min([_max_step(v, d) for v, d in zip(inv_s, op.views(ds))], default=np.inf)
