@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -87,8 +88,13 @@ def _write_pseudomoment_csv(
 def _report_payload(
     cfg: RunConfig, problem: ConicProblem, report: SolveReport, seconds: float
 ) -> dict:
+    """The report's fields, a non-finite one as None (JSON null), and the run's."""
+    fields = report.as_dict()
+    for key, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            fields[key] = None
     return {
-        **report.as_dict(),
+        **fields,
         "runtime_seconds": seconds,
         "degrees": list(cfg.degrees.as_tuple()),
         "model": cfg.describe_model(),
@@ -127,7 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem, x, report, seconds = _solve_config(cfg)
     _write_pseudomoment_csv(out_dir / "pseudomoments.csv", extract_pseudomoments(problem, x))
     payload = _report_payload(cfg, problem, report, seconds)
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(
         f"{problem.description}: {report.status} after {report.iterations} iterations "
         f"({seconds:.1f}s), objective {report.primal_objective:.9g}, "

@@ -214,6 +214,20 @@ def test_solve_subcommand(tmp_path, capsys):
     assert "occupation" in csv_text and "terminal" in csv_text and "initial" in csv_text
 
 
+def test_report_json_is_strict(tmp_path):
+    # epsilon = 1e300 ends infeasible_suspect with NaN fields, written as null
+    cfg = write_config(tmp_path, model={"variant": "local", "epsilon": 1e300})
+    assert main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["status"] == "infeasible_suspect"
+    assert report["primal_objective"] is None and report["primal_infeasibility"] is None
+
+
 def test_default_config_solve_certifies(tmp_path):
     # the defaults: Linear at (4,2,2) on the default datum
     path = tmp_path / "config.json"
