@@ -135,6 +135,29 @@ def test_diverging_iterate_is_infeasible_suspect(capfd, value):
     assert "On entry to" not in out + err  # LAPACK saw no inf or NaN
 
 
+def test_nan_residual_is_infeasible_suspect(u0, deg222):
+    # epsilon = 1e300: the primal residual norm overflows to NaN at the start
+    problem = build_problem(LocalQuadratic(1e300), deg222, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = solve(problem)
+    assert (report.status, report.iterations) == ("infeasible_suspect", 0)
+    assert math.isnan(report.primal_infeasibility)
+
+
+def test_singular_schur_complement_stalls(u0, deg222):
+    # epsilon = 1e8: the first Schur complement is finite but has exactly zero
+    # LU pivots; the solve stops at the best iterate, the start
+    problem = build_problem(LocalQuadratic(1e8), deg222, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no LinAlgWarning from the LU
+        x, report = solve(problem)
+    assert (report.status, report.iterations) == ("stalled", 1)
+    assert report.primal_objective == 2.0
+    assert np.isfinite(x).all()
+    assert all(math.isfinite(v) for v in report.as_dict().values() if isinstance(v, float))
+
+
 def test_solver_is_deterministic():
     xa, ra = solve(rank_one_forcing_problem())
     xb, rb = solve(rank_one_forcing_problem())
@@ -262,11 +285,19 @@ def stacked_problem(u0, case):
 
 @pytest.mark.parametrize(
     "case, sparse_images",
-    [("linear-444", False), ("distributed-222", False), ("sdpa-222", False), ("local-442", True)],
+    [
+        ("linear-444", False),
+        ("distributed-222", False),
+        ("sdpa-222", False),
+        ("sdpa-222", True),
+        ("local-442", True),
+    ],
 )
-def test_stacked_operator_matches_each_block(u0, case, sparse_images):
+def test_stacked_operator_matches_each_block(monkeypatch, u0, case, sparse_images):
     # each block's part of f0 + G z, G^T x and the Schur complement, against
     # the same quantities formed block by block from the kept rows
+    if case == "sdpa-222" and sparse_images:  # the LP stack on sparse images
+        monkeypatch.setattr(solver, "_STACK_ENTRIES", 1)
     problem = stacked_problem(u0, case)
     x0, z_basis = null_space(problem)
     op = solver._Stack(problem, x0, z_basis)
