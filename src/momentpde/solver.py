@@ -312,7 +312,7 @@ def _max_step(inv_factor: np.ndarray, d: np.ndarray) -> float:
     """The largest alpha with L L^T + alpha d PSD, from the least eigenvalue of
     L^-1 d L^-T (inf when every alpha is); 0.0 when that eigenvalue cannot be
     found."""
-    low = _least_eig(inv_factor @ d @ np.swapaxes(inv_factor, 1, 2))
+    low = _least_eig(inv_factor @ d @ inv_factor.transpose(0, 2, 1))
     if np.isnan(low):
         return 0.0
     return -1.0 / low if low < 0 else np.inf
@@ -416,7 +416,7 @@ def solve(
         if any(v is None for v in inv_s + inv_x):
             status = "stalled"
             break
-        s_inv = op.sym(op.flat(np.swapaxes(v, 1, 2) @ v for v in inv_s))
+        s_inv = op.sym(op.flat(v.transpose(0, 2, 1) @ v for v in inv_s))
         schur = op.schur(xs, s_inv)
         untouched = np.flatnonzero(np.diag(schur) == 0)  # z-columns no block touches
         schur[untouched, untouched] = 1.0
