@@ -136,7 +136,8 @@ def test_diverging_iterate_is_infeasible_suspect(capfd, value):
 
 
 def test_nan_residual_is_infeasible_suspect(u0, deg222):
-    # epsilon = 1e300: the primal residual norm overflows to NaN at the start
+    # epsilon = 1e300: the data norms overflow, so the start and the primal
+    # residual hold NaN
     problem = build_problem(LocalQuadratic(1e300), deg222, u0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
