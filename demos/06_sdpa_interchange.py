@@ -8,7 +8,7 @@ external solvers.  This script
   * parses the file back and checks structural identity with the writer's
     own view of the problem,
   * reconstructs a solvable problem from nothing but the file contents
-    (equalities come back as paired one-sided cone rows) and re-solves it,
+    (the equality pairs come back as the equalities) and re-solves it,
     confirming the file carries the full problem,
   * writes and re-imports a plain-text solution vector.
 """

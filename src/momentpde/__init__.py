@@ -68,7 +68,7 @@ from .sdpa import (
     to_sdpa_data,
     write_solution,
 )
-from .solver import SolveReport, SolverSettings, project_psd, solve
+from .solver import SolveReport, SolverSettings, solve
 from .tables import MissingMomentError, MomentTable, read_table_csv, write_table_csv
 
 __version__ = "0.1.0"

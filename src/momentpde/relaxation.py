@@ -153,26 +153,21 @@ def build_layout(deg: TruncationDegrees) -> VariableLayout:
 class Block:
     """One PSD cone: an affine map from the variable vector into matrix space.
 
-    ``coeffs @ x + const`` gives the vectorized block; for full blocks that is
-    the row-major flattening of a symmetric ``size x size`` matrix, for
-    diagonal blocks just the ``size`` diagonal entries.
+    ``coeffs @ x + const`` gives the row-major flattening of a symmetric
+    ``size x size`` matrix.
     """
 
     name: str
     size: int
     coeffs: sp.csr_matrix  # (vec_dim, num_vars)
     const: np.ndarray  # (vec_dim,)
-    diagonal: bool = False
 
     @property
     def vec_dim(self) -> int:
-        return self.size if self.diagonal else self.size * self.size
+        return self.size * self.size
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        v = self.coeffs @ x + self.const
-        if self.diagonal:
-            return np.diag(v)
-        return v.reshape(self.size, self.size)
+        return (self.coeffs @ x + self.const).reshape(self.size, self.size)
 
 
 @dataclass
@@ -200,7 +195,7 @@ class ConicProblem:
         for block in self.blocks:
             if block.coeffs.shape != (block.vec_dim, self.num_vars):
                 raise ValueError(f"block {block.name} coefficient shape mismatch")
-            if block.size < 1 and not block.diagonal:
+            if block.size < 1:
                 raise ValueError(f"block {block.name} has size {block.size}")
         if self.eq_pivots is not None:
             pivots = self.eq_pivots = np.asarray(self.eq_pivots)

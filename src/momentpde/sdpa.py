@@ -4,8 +4,11 @@ The conic problem min c.x s.t. E x = f, (A_b x + d_b) PSD is written in the
 standard vector form: the file's constraint count is the number of decision
 variables, line 4 carries the objective coefficients, and each PSD block
 stores its coefficient matrices F_i (matno i >= 1) and F_0 = -d_b.  The
-equality pairs (E x - f >= 0, f - E x >= 0) are an ordinary diagonal block,
-A = [E; -E] and d = [-f; f], written by the same block-to-entries rule.
+equalities go last, as the file's one diagonal block: the pairs
+E x - f >= 0 and f - E x >= 0, that is A = [E; -E] and d = [-f; f], written
+by the same block-to-entries rule.  ``from_sdpa_data`` is the exact inverse
+of ``to_sdpa_data``: it reads that block back as E x = f and rejects any
+other diagonal block.
 The entries stay one float64 array of rows (matno, blkno, i, j, value) from
 assembly to file and back; the writer limits the indices to 32 bits, so the
 array holds them exactly.
@@ -52,38 +55,31 @@ def _sorted(entries: np.ndarray) -> np.ndarray:
     return entries[np.lexsort(entries.T[::-1])]  # by matno, blkno, i, j, then value
 
 
-def _block_entries(block: Block, blkno: int) -> np.ndarray:
-    """Entry rows of one block: F_0 = -const is matrix 0, the coefficients of
+def _block_entries(coeffs: sp.csr_matrix, const: np.ndarray, size: int, blkno: int) -> np.ndarray:
+    """Entry rows of one block of SDPA size ``size`` (negative: diagonal, one
+    row per diagonal entry): F_0 = -const is matrix 0, the coefficients of
     variable k are matrix k + 1, full blocks keep the upper triangle and zeros
     are dropped."""
-    coo = block.coeffs.tocoo()
-    nonzero = np.flatnonzero(block.const)
+    coo = coeffs.tocoo()
+    nonzero = np.flatnonzero(const)
     pos = np.concatenate([nonzero, coo.row])
     matno = np.concatenate([np.zeros(len(nonzero)), coo.col + 1])
-    value = np.concatenate([-block.const[nonzero], coo.data])
-    i, j = (pos, pos) if block.diagonal else np.divmod(pos, block.size)
+    value = np.concatenate([-const[nonzero], coo.data])
+    i, j = (pos, pos) if size < 0 else np.divmod(pos, size)
     keep = (value != 0.0) & (i <= j)
     matno, i, j, value = matno[keep], i[keep] + 1, j[keep] + 1, value[keep]
     return np.column_stack([matno, np.full(len(value), blkno), i, j, value])
 
 
 def to_sdpa_data(problem: ConicProblem) -> SdpaData:
-    blocks = list(problem.blocks)
-    if problem.num_eq:
-        eq, f = problem.eq_matrix, problem.eq_rhs
-        blocks.append(
-            Block(
-                name="equalities",
-                size=2 * problem.num_eq,
-                coeffs=sp.vstack([eq, -eq], format="csr"),
-                const=np.concatenate([-f, f]),
-                diagonal=True,
-            )
-        )
-    sizes = [-b.size if b.diagonal else b.size for b in blocks]
+    parts = [(b.coeffs, b.const, b.size) for b in problem.blocks]
+    if problem.num_eq:  # the equality pairs, last, as a diagonal block
+        eq, f, p = problem.eq_matrix, problem.eq_rhs, problem.num_eq
+        parts.append((sp.vstack([eq, -eq], format="csr"), np.concatenate([-f, f]), -2 * p))
+    sizes = [size for _, _, size in parts]
     if max([problem.num_vars + 1, *map(abs, sizes)]) > np.iinfo(np.int32).max:
         raise ValueError("too many variables or too large a block for 32-bit entry indices")
-    rows = (_block_entries(b, k) for k, b in enumerate(blocks, start=1))
+    rows = (_block_entries(*part, k) for k, part in enumerate(parts, start=1))
     return SdpaData(
         num_constraints=problem.num_vars,
         block_sizes=sizes,
@@ -215,7 +211,15 @@ def _first(entries: np.ndarray, bad: np.ndarray) -> tuple | None:
 
 
 def from_sdpa_data(data: SdpaData) -> ConicProblem:
-    """Rebuild a conic problem from file data (equalities stay inequality pairs)."""
+    """Rebuild the conic problem that ``to_sdpa_data`` wrote.
+
+    Each full block comes back as a PSD block.  A diagonal block must be the
+    file's last block and an equality pair: of size -2p, with rows p+1..2p
+    the exact negation of rows 1..p in every matrix, F_0 included.  Rows
+    1..p come back as the equalities E x = f, without pivots, so the solver
+    picks them by QR.  Any other diagonal block raises ``ValueError`` naming
+    it.
+    """
     n, nblocks = data.num_constraints, len(data.block_sizes)
     matno, blkno, i, j = data.entries[:, :4].T.astype(np.int64)
     value = data.entries[:, 4]
@@ -231,6 +235,10 @@ def from_sdpa_data(data: SdpaData) -> ConicProblem:
         raise ValueError(f"entry {e} names matrix {e[0]}, but the matrices run 0..{n}")
     if (e := _first(data.entries, diagonal & (i != j))) is not None:
         raise ValueError(f"off-diagonal entry ({e[2]},{e[3]}) in diagonal block {e[1]}")
+    for b, signed_size in enumerate(data.block_sizes, start=1):
+        if signed_size < 0 and (b < nblocks or signed_size % 2):
+            why = "is not the last block" if b < nblocks else f"has odd size {-signed_size}"
+            raise ValueError(f"diagonal block {b} {why}; only the equality pairs may be diagonal")
 
     # An off-diagonal entry of a full block also stands for its mirror (j, i),
     # taken right after it so that duplicates sum in entry order.
@@ -241,27 +249,31 @@ def from_sdpa_data(data: SdpaData) -> ConicProblem:
     pos = np.where(diagonal[take], i - 1, (i - 1) * size[take] + (j - 1))
 
     blocks: list[Block] = []
+    eq, f = sp.csr_matrix((0, n)), np.zeros(0)
     for b, signed_size in enumerate(data.block_sizes, start=1):
         vec_dim = -signed_size if signed_size < 0 else signed_size**2
         const = np.zeros(vec_dim)
         f0 = (blkno == b) & (matno == 0)
         np.subtract.at(const, pos[f0], value[f0])  # block constant d = -F_0
         fk = (blkno == b) & (matno > 0)
-        coeffs = sp.coo_matrix((value[fk], (pos[fk], matno[fk] - 1)), shape=(vec_dim, n))
-        blocks.append(
-            Block(
-                name=f"block{b}",
-                size=abs(signed_size),
-                coeffs=coeffs.tocsr(),
-                const=const,
-                diagonal=signed_size < 0,
+        coeffs = sp.csr_matrix((value[fk], (pos[fk], matno[fk] - 1)), shape=(vec_dim, n))
+        if signed_size > 0:
+            blocks.append(Block(name=f"block{b}", size=signed_size, coeffs=coeffs, const=const))
+            continue
+        p = vec_dim // 2  # rows [E; -E], constants [-f; f]
+        eq, f = coeffs[:p], const[p:]
+        unpaired = ((eq != -coeffs[p:]).getnnz(axis=1) > 0) | (const[:p] != -f)
+        if unpaired.any():
+            r = int(np.flatnonzero(unpaired)[0]) + 1
+            raise ValueError(
+                f"diagonal block {b} is not an equality pair: "
+                f"row {p + r} is not the negation of row {r}"
             )
-        )
     return ConicProblem(
         num_vars=n,
         blocks=blocks,
-        eq_matrix=sp.csr_matrix((0, n)),
-        eq_rhs=np.zeros(0),
+        eq_matrix=eq,
+        eq_rhs=f,
         objective=np.array(data.rhs),
         description="reconstructed from SDPA file",
     )

@@ -79,15 +79,17 @@ def test_values_roundtrip_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("factory", [min_trace_completion_problem, rank_one_forcing_problem])
 def test_reconstructed_trivial_problems_solve_identically(tmp_path, factory):
+    # neither problem records pivots, so both solves take the same QR pivots
+    # of the same equalities: the same arithmetic, bit for bit
     problem = factory()
     path = tmp_path / "p.dat-s"
     export_sdpa(problem, path)
     recon = from_sdpa_data(read_sdpa(path))
-    _, direct = solve(problem)
-    _, from_file = solve(recon)
-    assert from_file.primal_objective == pytest.approx(
-        direct.primal_objective, rel=1e-5, abs=1e-6
-    )
+    x, direct = solve(problem)
+    x_file, from_file = solve(recon)
+    assert x_file.tobytes() == x.tobytes()
+    assert (from_file.status, from_file.iterations) == (direct.status, direct.iterations)
+    assert direct.status == "optimal"
 
 
 def test_reconstructed_heat_solve_matches_embedded(tmp_path, u0, deg222):
@@ -112,15 +114,10 @@ def test_reconstructed_heat_solve_matches_interior_point(tmp_path, u0, deg222):
     export_sdpa(problem, path)
     recon = from_sdpa_data(read_sdpa(path))
     x = cp.Variable(recon.num_vars)
-    constraints = []
+    constraints = [recon.eq_matrix @ x == recon.eq_rhs]
     for block in recon.blocks:
         expr = block.coeffs @ x + block.const
-        if block.diagonal:
-            constraints.append(expr >= 0)
-        else:
-            constraints.append(
-                cp.reshape(expr, (block.size, block.size), order="C") >> 0
-            )
+        constraints.append(cp.reshape(expr, (block.size, block.size), order="C") >> 0)
     cvx = cp.Problem(cp.Minimize(recon.objective @ x), constraints)
     cvx.solve(solver=cp.CLARABEL)
     _, direct = solve(problem)
@@ -134,17 +131,30 @@ PINNED_222 = 5.959644256173723
 
 def test_heat_solve_matches_pinned_optimum_directly_and_from_file(tmp_path, u0, deg222):
     # the in-repo counterpart of the cvxpy cross-check above: the embedded
-    # problem, and its reconstruction from the file, whose equalities become
-    # pairs of LP rows [E; -E] with no interior
+    # problem, and its reconstruction from the file, whose equality pairs
+    # read back as the problem's equalities, without its pivots
     problem = build_problem(Linear(), deg222, u0)
     path = tmp_path / "heat.dat-s"
     export_sdpa(problem, path)
     recon = from_sdpa_data(read_sdpa(path))
-    assert recon.num_eq == 0 and recon.blocks[-1].diagonal
+    assert len(recon.blocks) == len(problem.blocks) and recon.eq_pivots is None
+    assert recon.eq_matrix.toarray().tobytes() == problem.eq_matrix.toarray().tobytes()
+    assert recon.eq_rhs.tobytes() == problem.eq_rhs.tobytes()
     for p in (problem, recon):
         _, report = solve(p)
         assert report.status == "optimal" and report.relative_gap <= 1e-8
         assert report.primal_objective == pytest.approx(PINNED_222, rel=1e-7)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_reconstructions_certify(u0, deg222, model):
+    # the equalities read back from the file, pivoted by QR, certify as the
+    # problem's own do, at the same optimum
+    problem = build_problem(model, deg222, u0)
+    _, direct = solve(problem)
+    _, report = solve(from_sdpa_data(to_sdpa_data(problem)))
+    assert report.status == "optimal" and report.relative_gap <= 1e-8
+    assert report.primal_objective == pytest.approx(direct.primal_objective, rel=1e-7)
 
 
 def test_solution_file_roundtrip(tmp_path, u0, deg222):
@@ -239,6 +249,45 @@ def test_invalid_entry_is_rejected(tmp_path, size, line, message):
         from_sdpa_data(read_sdpa(path))
 
 
+def sdpa_file(path, sizes, lines):
+    """A file with one variable, objective 1.0, the given blocks and entries."""
+    path.write_text("\n".join(["1", str(len(sizes.split())), sizes, "1.0", *lines]) + "\n")
+    return path
+
+
+# A 1x1 full block (block 1), and the pairs of E x = f with E = (1, 2) and
+# f = (0.5, 0) as block 2: its rows 3 and 4 negate rows 1 and 2.
+FULL = ["1 1 1 1 1.0"]
+PAIR = ["0 2 1 1 0.5", "0 2 3 3 -0.5", "1 2 1 1 1.0", "1 2 2 2 2.0", "1 2 3 3 -1.0", "1 2 4 4 -2.0"]
+PAIR_FIRST = [line.replace(" 2 ", " 1 ", 1) for line in PAIR]  # the same pairs as block 1
+
+
+def test_equality_pairs_read_back_as_equalities(tmp_path):
+    recon = from_sdpa_data(read_sdpa(sdpa_file(tmp_path / "p.dat-s", "1 -4", FULL + PAIR)))
+    assert len(recon.blocks) == 1 and recon.eq_pivots is None
+    assert np.array_equal(recon.eq_matrix.toarray(), [[1.0], [2.0]])
+    assert np.array_equal(recon.eq_rhs, [0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "sizes, lines, message",
+    [
+        ("1 -3", FULL + ["1 2 1 1 1.0", "1 2 2 2 -1.0"], "diagonal block 2 has odd size 3"),
+        ("1 -4", FULL + PAIR[:5] + ["1 2 4 4 -2.5"], "block 2 .* row 4 .* of row 2"),
+        ("1 -4", FULL + PAIR[:5], "block 2 .* row 4 .* of row 2"),
+        ("1 -4", FULL + PAIR[:1] + ["0 2 3 3 -0.25"] + PAIR[2:], "block 2 .* row 3 .* of row 1"),
+        ("-4 -4", PAIR_FIRST + PAIR, "diagonal block 1 is not the last block"),
+        ("-4 1", PAIR_FIRST + ["1 2 1 1 1.0"], "diagonal block 1 is not the last block"),
+    ],
+    ids=["odd-size", "value-off", "value-missing", "constant-off", "two-diagonal", "first"],
+)
+def test_other_diagonal_blocks_are_rejected(tmp_path, sizes, lines, message):
+    # a diagonal block is read back only as the equality pairs: last, of
+    # even size, its second half the exact negation of its first
+    with pytest.raises(ValueError, match=message):
+        from_sdpa_data(read_sdpa(sdpa_file(tmp_path / "p.dat-s", sizes, lines)))
+
+
 @pytest.mark.parametrize(
     "factory",
     [
@@ -249,9 +298,9 @@ def test_invalid_entry_is_rejected(tmp_path, size, line, message):
     ids=["min_trace", "rank_one", "linear222"],
 )
 def test_file_data_roundtrips_through_reconstruction(tmp_path, factory):
-    # The reconstruction turns the equality pairs into a diagonal block with
-    # nonzero constants; exporting it again must give the same file data,
-    # entry values and order included.
+    # The reconstruction reads the equality pairs back as the equalities;
+    # exporting it again must give the same file data, entry values and
+    # order included.
     path = tmp_path / "p.dat-s"
     export_sdpa(factory(), path)
     data = read_sdpa(path)
@@ -295,8 +344,8 @@ def test_reversed_file_reads_back_in_writer_order(tmp_path):
 def test_hand_built_block_constants_and_stored_zeros():
     # Full 2x2 block: row-major positions 0..3, with explicitly stored zeros
     # at positions 1 and 3, a constant off the diagonal and a lower-triangle
-    # coefficient that the upper-triangle convention drops.  Diagonal 3x3
-    # block: a nonzero constant and a stored zero.  One equality row.
+    # coefficient that the upper-triangle convention drops.  Two equality
+    # rows, with a stored zero, become the diagonal block 2 = [E; -E].
     full = Block(
         name="full",
         size=2,
@@ -307,42 +356,40 @@ def test_hand_built_block_constants_and_stored_zeros():
         ),
         const=np.array([1.0, 0.5, 0.5, 0.0]),
     )
-    diag = Block(
-        name="diag",
-        size=3,
-        coeffs=sp.csr_matrix(
-            (np.array([0.0, -1.5]), np.array([0, 1]), np.array([0, 1, 1, 2])),
-            shape=(3, 2),
-        ),
-        const=np.array([0.0, -2.0, 0.25]),
-        diagonal=True,
+    eq = sp.csr_matrix(
+        (np.array([1.0, -1.0, 0.0, -1.5]), np.array([0, 1, 0, 1]), np.array([0, 2, 4])),
+        shape=(2, 2),
     )
     problem = ConicProblem(
         num_vars=2,
-        blocks=[full, diag],
-        eq_matrix=sp.csr_matrix(np.array([[1.0, -1.0]])),
-        eq_rhs=np.array([0.75]),
+        blocks=[full],
+        eq_matrix=eq,
+        eq_rhs=np.array([0.75, -2.0]),
         objective=np.array([1.0, 2.0]),
     )
     data = to_sdpa_data(problem)
     assert data.num_constraints == 2
-    assert data.block_sizes == [2, -3, -2]
+    assert data.block_sizes == [2, -4]
     assert data.rhs == [1.0, 2.0]
     assert np.array_equal(data.entries, [
         (0, 1, 1, 1, -1.0),
         (0, 1, 1, 2, -0.5),
-        (0, 2, 2, 2, 2.0),
-        (0, 2, 3, 3, -0.25),
-        (0, 3, 1, 1, 0.75),
-        (0, 3, 2, 2, -0.75),
+        (0, 2, 1, 1, 0.75),
+        (0, 2, 2, 2, -2.0),
+        (0, 2, 3, 3, -0.75),
+        (0, 2, 4, 4, 2.0),
         (1, 1, 1, 1, 2.0),
-        (1, 3, 1, 1, 1.0),
-        (1, 3, 2, 2, -1.0),
+        (1, 2, 1, 1, 1.0),
+        (1, 2, 3, 3, -1.0),
         (2, 1, 2, 2, 3.0),
-        (2, 2, 3, 3, -1.5),
-        (2, 3, 1, 1, -1.0),
-        (2, 3, 2, 2, 1.0),
+        (2, 2, 1, 1, -1.0),
+        (2, 2, 2, 2, -1.5),
+        (2, 2, 3, 3, 1.0),
+        (2, 2, 4, 4, 1.5),
     ])
+    recon = from_sdpa_data(data)
+    assert np.array_equal(recon.eq_matrix.toarray(), eq.toarray())
+    assert np.array_equal(recon.eq_rhs, problem.eq_rhs)
 
 
 def per_line_file(data):

@@ -279,7 +279,7 @@ def stacked_problem(u0, case):
         return build_problem(Linear(), TruncationDegrees(4, 4, 4), u0)
     if case == "distributed-222":
         return build_problem(DistributedQuadratic(0.1), TruncationDegrees(2, 2, 2), u0)
-    if case == "sdpa-222":  # the equalities come back as a diagonal block
+    if case == "sdpa-222":  # the equalities come back without pivots: QR picks them
         return from_sdpa_data(to_sdpa_data(build_problem(Linear(), TruncationDegrees(2, 2, 2), u0)))
     return build_problem(LocalQuadratic(0.1), TruncationDegrees(4, 4, 2), u0)
 
@@ -297,33 +297,30 @@ def stacked_problem(u0, case):
 def test_stacked_operator_matches_each_block(monkeypatch, u0, case, sparse_images):
     # each block's part of f0 + G z, G^T x and the Schur complement, against
     # the same quantities formed block by block from the kept rows
-    if case == "sdpa-222" and sparse_images:  # the LP stack on sparse images
+    if case == "sdpa-222" and sparse_images:  # (2,2,2) is small: force sparse images
         monkeypatch.setattr(solver, "_STACK_ENTRIES", 1)
     problem = stacked_problem(u0, case)
     x0, z_basis = null_space(problem)
     op = solver._Stack(problem, x0, z_basis)
     assert sp.issparse(op.gt) == sparse_images
-    assert any(b.diagonal for b in problem.blocks) == (case == "sdpa-222")
+    assert (problem.eq_pivots is None) == (case == "sdpa-222")
     rng = np.random.default_rng(11)
     z = rng.normal(size=z_basis.shape[1])
     x = x0 + z_basis @ z
     kept = [(b, r) for b, r in zip(problem.blocks, op.rows) if len(r)]
     assert len(op.cones) == len(kept)
-    ys = [rng.normal(size=(len(r),) * (1 if b.diagonal else 2)) for b, r in kept]
-    ys = [y if y.ndim == 1 else y @ y.T for y in ys]  # positive (semi)definite
+    ys = [rng.normal(size=(len(r), len(r))) for _, r in kept]
+    ys = [y @ y.T for y in ys]  # positive (semi)definite
     adjoint, schur = np.zeros(len(z)), np.zeros((len(z), len(z)))
     for (block, rows), view, y in zip(kept, op.views(op.f0 + op.g @ z), ys):
         n = block.size
-        entries = rows if block.diagonal else (rows[:, None] * n + rows).ravel()
+        entries = (rows[:, None] * n + rows).ravel()
         want = (block.coeffs @ x + block.const)[entries]
         assert np.abs(view.ravel() - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         a = (block.coeffs[entries] @ z_basis).toarray().T  # row i: A_bi
         adjoint += a @ y.ravel()
-        if block.diagonal:
-            schur += (a * (y * y)) @ a.T
-        else:
-            t = y @ a.reshape(len(z), len(rows), len(rows)) @ y  # Y A_bj Y
-            schur += a @ t.reshape(len(z), -1).T
+        t = y @ a.reshape(len(z), len(rows), len(rows)) @ y  # Y A_bj Y
+        schur += a @ t.reshape(len(z), -1).T
     flat = op.flat(ys)
     assert np.abs(op.gt @ flat - adjoint).max() <= 1e-12 * max(1.0, np.abs(adjoint).max())
     assert np.abs(op.schur(flat, flat) - schur).max() <= 1e-12 * max(1.0, np.abs(schur).max())
