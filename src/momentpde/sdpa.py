@@ -217,8 +217,9 @@ def from_sdpa_data(data: SdpaData) -> ConicProblem:
     file's last block and an equality pair: of size -2p, with rows p+1..2p
     the exact negation of rows 1..p in every matrix, F_0 included.  Rows
     1..p come back as the equalities E x = f, without pivots, so the solver
-    picks them by QR.  Any other diagonal block raises ``ValueError`` naming
-    it.
+    picks them by a weighted matching of rows to columns (see
+    ``solver.null_space``).  Any other diagonal block raises ``ValueError``
+    naming it.
     """
     n, nblocks = data.num_constraints, len(data.block_sizes)
     matno, blkno, i, j = data.entries[:, :4].T.astype(np.int64)

@@ -6,8 +6,9 @@ for every block b.  First, once per solve, one substitution x = x0 + Z z
 covers both the equalities and the face {x : x_F = 0}, F the variables the
 problem certifies zero (``ConicProblem.zero_vars``).  The equality rows the
 face empties read 0 = 0 and are left out.  One sparse LU of the pivot
-columns E_B (one per kept row) gives E x0 = f and the sparse
-Z = [-E_B^-1 E_N; I] on the live columns, with x0 and Z exactly zero on F.
+columns E_B (one per kept row: recorded by the problem, or matched to the
+rows when it has none) gives E x0 = f and the sparse Z = [-E_B^-1 E_N; I]
+on the live columns, with x0 and Z exactly zero on F.
 Each block keeps only the rows that the substitution leaves nonzero, since a
 matrix with a zero row is PSD exactly when the rest of it is; a block left
 without rows is dropped.
@@ -60,9 +61,12 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgWarning
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .relaxation import Block, ConicProblem
 
+# Raised for kept equality rows that have no nonsingular pivot columns.
+_DEPENDENT = "equality rows are linearly dependent"
 # Right-hand sides per LU solve while building Z.  Each solve holds a dense
 # num_eq x _SOLVE_CHUNK array; 16 keeps that under 0.5 MB at (4,4,4).
 _SOLVE_CHUNK = 16
@@ -140,9 +144,14 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     {x : E x = f, x_F = 0} = x0 + range(Z), F the zero variables.
 
     The equality rows the face empties are left out; their right-hand sides
-    are 0.  Z has no entry in a row of F, and x0 is 0.0 there.  Problems
-    without recorded pivots get them from a column-pivoted QR of the kept
-    rows on the live columns.
+    are 0.  Z has no entry in a row of F, and x0 is 0.0 there.  A problem
+    without recorded pivots gets one live column per kept row from a
+    maximum-product matching of the rows to the live columns (the MC64 idea:
+    Duff and Koster, SIAM J. Matrix Anal. Appl. 2001), and its rows count
+    as dependent when the LU of those columns is singular or its 1-norm
+    condition estimate reaches 1e12.  So independent rows whose matched
+    columns are singular are rejected too: [[1, 1, 0], [1, 1, 1]] matches
+    columns 0 and 1.
     """
     live, dropped = problem.face()
     kept = ~dropped
@@ -150,14 +159,10 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     n, num_eq = problem.num_vars, len(f)
     if num_eq == 0:
         return np.zeros(n), sp.identity(n, format="csr")[:, live]
-    live_cols = np.flatnonzero(live)
     if problem.eq_pivots is not None:
-        pivots = problem.eq_pivots[kept]
+        pivots, singular = problem.eq_pivots[kept], "the equality pivot columns are singular"
     else:
-        _, r, perm = scipy.linalg.qr(eq[:, live_cols].toarray(), mode="economic", pivoting=True)
-        if num_eq > len(live_cols) or abs(r[num_eq - 1, num_eq - 1]) <= 1e-12 * abs(r[0, 0]):
-            raise ValueError("equality rows are linearly dependent")
-        pivots = live_cols[perm[:num_eq]]
+        pivots, singular = _matched_pivots(eq, np.flatnonzero(live)), _DEPENDENT
     live[pivots] = False  # the live columns left are free
     free = np.flatnonzero(live)
     eq = eq[:, np.concatenate([pivots, free])].tocsc()
@@ -165,7 +170,15 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
     try:
         lu = spla.splu(e_base)
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise ValueError(f"the equality pivot columns are singular: {err}") from err
+        raise ValueError(f"{singular}: {err}") from err
+    if problem.eq_pivots is None:  # 1-norm condition estimate from the solves alone
+        inverse = spla.LinearOperator(
+            e_base.shape, lu.solve, lambda b: lu.solve(b, "T"), dtype=float
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: rejected
+            cond = abs(e_base).sum(axis=0).max() * spla.onenormest(inverse, t=1)
+        if not cond < 1e12:
+            raise ValueError(_DEPENDENT)
     x0 = np.zeros(n)
     x0[pivots] = lu.solve(f)
 
@@ -179,6 +192,23 @@ def null_space(problem: ConicProblem) -> tuple[np.ndarray, sp.csr_matrix]:
         vals.append(-sol[pos, j])
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     return x0, sp.csr_matrix(entries, shape=(n, len(free)))
+
+
+def _matched_pivots(eq: sp.csr_matrix, live_cols: np.ndarray) -> np.ndarray:
+    """One column of ``live_cols`` per row of ``eq``, matched so that the
+    product of the |E_ij| taken is largest: a minimum-weight full matching on
+    the weights 1 - log(|E_ij| / max|E|), each at least 1, as scipy drops a
+    stored zero."""
+    weights = abs(eq[:, live_cols]).tocsr()
+    weights.eliminate_zeros()
+    weights.data = 1.0 - np.log(weights.data / weights.data.max(initial=0.0))
+    try:
+        rows, cols = min_weight_full_bipartite_matching(weights)
+    except ValueError as err:  # "no full matching exists"
+        raise ValueError(_DEPENDENT) from err
+    if len(rows) < eq.shape[0]:  # more rows than live columns: each column matched
+        raise ValueError(_DEPENDENT)
+    return live_cols[cols]  # rows matched in order
 
 
 def _kept_entries(mask: np.ndarray, blocks: list[Block]) -> tuple[np.ndarray, list[np.ndarray]]:

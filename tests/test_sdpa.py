@@ -79,8 +79,8 @@ def test_values_roundtrip_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("factory", [min_trace_completion_problem, rank_one_forcing_problem])
 def test_reconstructed_trivial_problems_solve_identically(tmp_path, factory):
-    # neither problem records pivots, so both solves take the same QR pivots
-    # of the same equalities: the same arithmetic, bit for bit
+    # neither problem records pivots, so both solves take the same matched
+    # pivots of the same equalities: the same arithmetic, bit for bit
     problem = factory()
     path = tmp_path / "p.dat-s"
     export_sdpa(problem, path)
@@ -146,15 +146,23 @@ def test_heat_solve_matches_pinned_optimum_directly_and_from_file(tmp_path, u0, 
         assert report.primal_objective == pytest.approx(PINNED_222, rel=1e-7)
 
 
+# Iterations of the reconstructions of MODELS, in order, at each triple.
+RECONSTRUCTION_ITERATIONS = {(2, 2, 2): [9, 12, 14], (4, 2, 2): [12, 14, 14]}
+
+
+@pytest.mark.parametrize("triple", list(RECONSTRUCTION_ITERATIONS), ids=str)
 @pytest.mark.parametrize("model", MODELS, ids=repr)
-def test_reconstructions_certify(u0, deg222, model):
-    # the equalities read back from the file, pivoted by QR, certify as the
-    # problem's own do, at the same optimum
-    problem = build_problem(model, deg222, u0)
+def test_reconstructions_certify(u0, model, triple):
+    # the equalities read back from the file, pivoted by the matching,
+    # certify as the problem's own do, at the same optimum; the iteration
+    # counts pin the quality of the matched pivots (a plain transversal
+    # takes 18 for LocalQuadratic at (4,2,2))
+    problem = build_problem(model, TruncationDegrees(*triple), u0)
     _, direct = solve(problem)
     _, report = solve(from_sdpa_data(to_sdpa_data(problem)))
     assert report.status == "optimal" and report.relative_gap <= 1e-8
     assert report.primal_objective == pytest.approx(direct.primal_objective, rel=1e-7)
+    assert report.iterations == RECONSTRUCTION_ITERATIONS[triple][MODELS.index(model)]
 
 
 def test_solution_file_roundtrip(tmp_path, u0, deg222):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -279,7 +280,7 @@ def stacked_problem(u0, case):
         return build_problem(Linear(), TruncationDegrees(4, 4, 4), u0)
     if case == "distributed-222":
         return build_problem(DistributedQuadratic(0.1), TruncationDegrees(2, 2, 2), u0)
-    if case == "sdpa-222":  # the equalities come back without pivots: QR picks them
+    if case == "sdpa-222":  # the equalities come back without pivots: a matching picks them
         return from_sdpa_data(to_sdpa_data(build_problem(Linear(), TruncationDegrees(2, 2, 2), u0)))
     return build_problem(LocalQuadratic(0.1), TruncationDegrees(4, 4, 2), u0)
 
@@ -434,7 +435,7 @@ def test_equalities_hold_to_roundoff_during_solve(u0, deg422):
 
 
 @pytest.mark.parametrize("make", [min_trace_completion_problem, rank_one_forcing_problem])
-def test_hand_built_problem_gets_pivots_by_qr(make):
+def test_hand_built_problem_gets_pivots_by_matching(make):
     problem = make()
     assert problem.eq_pivots is None
     x0, z_basis = null_space(problem)
@@ -443,8 +444,8 @@ def test_hand_built_problem_gets_pivots_by_qr(make):
     assert np.abs(problem.eq_matrix @ x0 - problem.eq_rhs).max() <= 1e-15
 
 
-def test_qr_pivots_on_a_face():
-    # no recorded pivots: the QR factors the kept rows on the live columns
+def test_matched_pivots_on_a_face():
+    # no recorded pivots: the kept rows are matched to the live columns
     problem = zero_row_face_problem()
     assert problem.eq_pivots is None
     x0, z_basis = null_space(problem)
@@ -452,16 +453,44 @@ def test_qr_pivots_on_a_face():
     assert_null_space_of_face(problem, x0, z_basis, 1e-15)
 
 
-def test_dependent_equality_rows_are_rejected():
+@pytest.mark.parametrize(
+    "rows, face",
+    [
+        ([[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]], NO_FACE),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], NO_FACE),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]], np.array([2])),
+        ([[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]], NO_FACE),
+        ([[3.0, 1.0, 0.1], [1.0, 1.0 / 3.0, 0.1 / 3.0]], NO_FACE),
+    ],
+    ids=["multiple", "zero-row", "rows-over-live-columns", "near-multiple", "rounded-multiple"],
+)
+def test_dependent_equality_rows_are_rejected(rows, face):
+    # no recorded pivots; a matching alone would match each live column of
+    # the 3 x 2 case, or fail on the zero row with its own message
     problem = ConicProblem(
         num_vars=3,
         blocks=[symmetric_variable_block(2, 3, {(0, 0): 0, (0, 1): 1, (1, 1): 2})],
-        eq_matrix=sp.csr_matrix(np.array([[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])),
-        eq_rhs=np.array([0.0, 0.0]),
+        eq_matrix=sp.csr_matrix(np.array(rows)),
+        eq_rhs=np.zeros(len(rows)),
         objective=np.array([1.0, 0.0, 1.0]),
+        zero_vars=face,
     )
     with pytest.raises(ValueError, match="linearly dependent"):
         solve(problem)
+
+
+def test_null_space_without_pivots_holds_no_dense_copy(u0):
+    # Linear (4,4,2) read back from SDPA data: E is 630 x 756, and one dense
+    # copy of it takes 3.8 MB
+    problem = from_sdpa_data(to_sdpa_data(build_problem(Linear(), TruncationDegrees(4, 4, 2), u0)))
+    tracemalloc.start()
+    try:
+        x0, z_basis = null_space(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert_null_space_of_face(problem, x0, z_basis, 1e-12)
 
 
 @pytest.mark.parametrize("pivots", [[0], [0, 7], [2, 2], [-1, 0], [0.0, 2.0]])

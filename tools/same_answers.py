@@ -8,10 +8,13 @@ Runs each ``src/`` tree in its own process, on one BLAS thread, over
 * the ladder rungs of ``perfbench/workloads.py`` for ``Linear()``,
   ``DistributedQuadratic(0.1)`` and ``LocalQuadratic(0.1)``, the last up to
   (4,4,2), with the ladder's iteration budget,
+* the SDPA reconstructions ``from_sdpa_data(to_sdpa_data(problem))`` of the
+  same three models at (2,2,2), (4,2,2), (6,2,4) and (4,4,2), which carry no
+  pivots, with the default settings,
 
 and compares, operation by operation, the bytes of ``x``, the status and the
-iteration count.  Prints every difference and exits 1 if there is one, 0
-otherwise.  The two processes run side by side.
+iteration count.  Prints every difference, with both objectives, and exits 1
+if there is one, 0 otherwise.  The two processes run side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LOCAL_LAST = (4, 4, 2)  # the largest LocalQuadratic rung: (4,4,4) takes minutes
+RECONSTRUCTED = [(2, 2, 2), (4, 2, 2), (6, 2, 4), (4, 4, 2)]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -40,12 +44,13 @@ def parse_seeds(text: str) -> list[int]:
 
 def answers(seeds: list[int]) -> None:
     """Solve every operation with the package on sys.path; print one JSON
-    line per operation: label, SHA-256 of x's bytes, status, iterations."""
+    line per operation: label, SHA-256 of x's bytes, status, iterations,
+    objective."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from momentpde import (
         DistributedQuadratic, InitialData, Linear, LocalQuadratic, SolverSettings,
-        TruncationDegrees, build_problem, solve,
+        TruncationDegrees, build_problem, from_sdpa_data, solve, to_sdpa_data,
     )
 
     cases = []
@@ -53,19 +58,30 @@ def answers(seeds: list[int]) -> None:
         for seed in seeds:
             for op in workloads.operations("certify-222", seed, Path(workdir)):
                 label = f"certify-222 seed {seed} {op.label}"
-                cases.append((label, op.model, op.deg, op.u0, op.settings))
+                cases.append((label, op.model, op.deg, op.u0, op.settings, False))
     ladder = SolverSettings(max_iters=workloads.LADDER_BUDGET)
-    for model in (Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1)):
+    models = (Linear(), DistributedQuadratic(0.1), LocalQuadratic(0.1))
+    for model in models:
         rungs = workloads.LADDER_TRIPLES
         if isinstance(model, LocalQuadratic):
             rungs = rungs[: rungs.index(LOCAL_LAST) + 1]
         for triple in rungs:
             deg = TruncationDegrees(*triple)
-            cases.append((f"ladder {model!r} {triple}", model, deg, InitialData.default(), ladder))
-    for label, model, deg, u0, settings in cases:
-        x, report = solve(build_problem(model, deg, u0), settings)
+            label = f"ladder {model!r} {triple}"
+            cases.append((label, model, deg, InitialData.default(), ladder, False))
+    for model in models:
+        for triple in RECONSTRUCTED:
+            deg = TruncationDegrees(*triple)
+            label = f"sdpa {model!r} {triple}"
+            cases.append((label, model, deg, InitialData.default(), SolverSettings(), True))
+    for label, model, deg, u0, settings, reconstruct in cases:
+        problem = build_problem(model, deg, u0)
+        if reconstruct:
+            problem = from_sdpa_data(to_sdpa_data(problem))
+        x, report = solve(problem, settings)
         digest = hashlib.sha256(x.tobytes()).hexdigest()
-        print(json.dumps([label, digest, report.status, report.iterations]), flush=True)
+        line = [label, digest, report.status, report.iterations, report.primal_objective]
+        print(json.dumps(line), flush=True)
 
 
 def main() -> int:
@@ -93,14 +109,15 @@ def main() -> int:
         print("a side failed: exit codes", [p.returncode for p in procs])
         return 1
     old, new = ([json.loads(line) for line in out.splitlines()] for out in outputs)
-    for a, b in zip(old, new):
-        if a != b:
-            print(f"{a[0]}: x {a[1][:12]} {a[2]} {a[3]} iterations", end="")
-            print(f" -> x {b[1][:12]} {b[2]} {b[3]} iterations")
-    same = sum(a == b for a, b in zip(old, new))
+    same = [a[:4] == b[:4] for a, b in zip(old, new)]  # the objective is only shown
+    for a, b, equal in zip(old, new, same):
+        if not equal:
+            print(f"{a[0]}: x {a[1][:12]} {a[2]} {a[3]} iterations {a[4]!r}", end="")
+            print(f" -> x {b[1][:12]} {b[2]} {b[3]} iterations {b[4]!r}", end="")
+            print(f" (objective {abs(b[4] - a[4]) / max(abs(a[4]), 1e-300):.1e} relative)")
     total = max(len(old), len(new))
-    print(f"{same} of {total} operations give the same x, status and iterations")
-    return 0 if same == len(old) == len(new) else 1
+    print(f"{sum(same)} of {total} operations give the same x, status and iterations")
+    return 0 if sum(same) == len(old) == len(new) else 1
 
 
 if __name__ == "__main__":
