@@ -10,13 +10,15 @@ algebraic (max k) and harmonic (max |n_j|).
 For bulk work the same indices have an array form: a time degree plus a
 count row of the multiset over the modes, with vectorized canonicalization
 (``mode_counts``, ``canonical_counts``); ``moment_keys`` turns each int8 row
-[ell, counts] into one byte-string key.
+[ell, counts] into one byte-string key.  ``truncation_counts`` alone
+enumerates a truncation's moments; ``enumerate_moment_vector`` is its view.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -88,6 +90,8 @@ class TruncationDegrees:
     def __post_init__(self) -> None:
         for name in ("time", "algebraic", "harmonic"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} degree must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} degree must be nonnegative, got {v}")
         if self.time % 2 or self.algebraic % 2:
@@ -106,18 +110,23 @@ def _mode_multisets(max_len: int, harmonic: int):
         yield from itertools.combinations_with_replacement(alphabet, k)
 
 
-def enumerate_moment_vector(deg: TruncationDegrees) -> list[MomentIndex]:
-    """All moment indices inside the truncation, one per mode multiset.
+def truncation_counts(deg: TruncationDegrees) -> tuple[np.ndarray, np.ndarray]:
+    """Time degrees and int8 count rows (modes -harmonic..harmonic) of every
+    moment inside the truncation, one per mode multiset.
 
     Conjugate pairs are both listed (the counts reported for the truncation
     sizes do not deduplicate them).  Order is lexicographic in (ell, k,
     multiset) and deterministic across runs.
     """
-    return [
-        MomentIndex(ell, freqs)
-        for ell in range(deg.time + 1)
-        for freqs in _mode_multisets(deg.algebraic, deg.harmonic)
-    ]
+    first = mode_counts(list(_mode_multisets(deg.algebraic, deg.harmonic)), deg.harmonic)
+    times = deg.time + 1
+    return np.repeat(np.arange(times), len(first)), np.tile(first, (times, 1))
+
+
+def enumerate_moment_vector(deg: TruncationDegrees) -> list[MomentIndex]:
+    """``truncation_counts`` as one ``MomentIndex`` per moment, in its order."""
+    ell, counts = truncation_counts(deg)
+    return list(map(MomentIndex, ell.tolist(), count_freqs(counts, deg.harmonic)))
 
 
 def count_moment_vector(deg: TruncationDegrees) -> int:

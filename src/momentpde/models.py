@@ -27,13 +27,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .indices import (
-    TruncationDegrees,
-    canonical_counts,
-    count_freqs,
-    enumerate_moment_vector,
-    mode_counts,
-)
+from .indices import TruncationDegrees, canonical_counts, count_freqs, truncation_counts
+from .indices import enumerate_moment_vector  # noqa: F401  perfbench/tracing.py patches it
 from .tables import MissingMomentError, MomentKeys, MomentTable
 
 
@@ -177,9 +172,7 @@ def generate_constraints(
             raise ValueError(
                 f"forcing modes ({model.m1}, {model.m2}) exceed harmonic degree {h}"
             )
-    tests = enumerate_moment_vector(deg)
-    ell = np.array([t.time_degree for t in tests], dtype=np.int64)
-    counts = mode_counts([t.freqs for t in tests], h)
+    ell, counts = truncation_counts(deg)
     keep = ~canonical_counts(counts)[1] if canonical_only else np.ones(len(ell), bool)
     k = counts.sum(axis=1)
     distributed = isinstance(model, DistributedQuadratic) and eps != 0

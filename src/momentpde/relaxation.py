@@ -26,10 +26,13 @@ self-conjugate row r, and (e_r + e_s)/sqrt(2) at r and i(e_r - e_s)/sqrt(2)
 at s for a pair r < s = P r, so K's coefficients are +-1 and +-sqrt(2).
 The objective is the sum of the Hermitian traces of the two moment blocks.
 
-Assembly works on integer arrays, not on one ``MomentIndex`` per entry.  A
-mode multiset is a count row over the modes -h..h, and negating its modes
-reverses the row, so entry (r, c) has time degree th_r + th_c + shift and
-count row C_r + reversed(C_c).  The moment is conjugated (its value is the
+Assembly works on integer arrays, not on one ``MomentIndex`` per entry.
+The truncation is enumerated once, by ``indices.truncation_counts``: the
+layout's moments are its canonical rows (``MomentKeys.truncation``) and
+the equations' test indices are its rows.  A mode multiset is a count row
+over the modes -h..h, and negating its modes reverses the row, so entry
+(r, c) has time degree th_r + th_c + shift and count row
+C_r + reversed(C_c).  The moment is conjugated (its value is the
 conjugate of the stored representative's) exactly when the reversed row is
 larger at the first mode where the row and its reverse differ; this is the
 order of ``canonicalize``.  The layout holds each measure's moments as a
@@ -63,12 +66,11 @@ from .indices import (
     MomentIndex,
     TruncationDegrees,
     basis_monomials,
-    canonical_counts,
     count_freqs,
     enumerate_matrix_basis,
-    enumerate_moment_vector,
     mode_counts,
 )
+from .indices import enumerate_moment_vector  # noqa: F401  perfbench/tracing.py patches it
 from .models import (
     HeatModel,
     InitialData,
@@ -117,7 +119,7 @@ class VariableLayout:
     def slots(self) -> dict[tuple[MeasureTag, MomentIndex], Slot]:
         """Slot of each (measure, canonical index), built on first read.  The
         package does not read it; the benchmark's checks do, until ROADMAP
-        item 7's benchmark-only change moves them to ``lookup`` and retires
+        item 1's benchmark-only change moves them to ``lookup`` and retires
         ``slots`` and ``Slot``."""
         out = {}
         for measure, (moments, real, imag) in self.moments.items():
@@ -128,24 +130,20 @@ class VariableLayout:
 
 
 def build_layout(deg: TruncationDegrees) -> VariableLayout:
-    """Deterministic slot numbering: occupation moments first, then terminal."""
-    indices = enumerate_moment_vector(deg)
-    ell = np.array([idx.time_degree for idx in indices], dtype=np.int64)
-    counts = mode_counts([idx.freqs for idx in indices], deg.harmonic)
-    _, conjugated = canonical_counts(counts)
-    forced_real = (counts == counts[:, ::-1]).all(axis=1)
-    occupation = np.flatnonzero(~conjugated)
+    """Deterministic slot numbering: occupation moments first, then terminal
+    (the occupation moments at ell = 0)."""
+    occupation = MomentKeys.truncation(deg)
+    first = occupation.ell == 0
+    terminal = MomentKeys(occupation.ell[first], occupation.counts[first])
     moments = {}
     counter = 0
-    for measure, rows in (
-        (MeasureTag.OCCUPATION, occupation),
-        (MeasureTag.TERMINAL, occupation[ell[occupation] == 0]),
-    ):
-        width = np.where(forced_real[rows], 1, 2)
+    for measure, keys in ((MeasureTag.OCCUPATION, occupation), (MeasureTag.TERMINAL, terminal)):
+        forced_real = (keys.counts == keys.counts[:, ::-1]).all(axis=1)
+        width = np.where(forced_real, 1, 2)
         real = counter + np.cumsum(width) - width
-        imag = np.where(forced_real[rows], -1, real + 1)
+        imag = np.where(forced_real, -1, real + 1)
         counter += int(width.sum())
-        moments[measure] = (MomentKeys(ell[rows], counts[rows]), real, imag)
+        moments[measure] = (keys, real, imag)
     return VariableLayout(degrees=deg, num_vars=counter, moments=moments)
 
 

@@ -4,9 +4,10 @@
 row) and finds moments among them: ``canonical_counts``, ``moment_keys``,
 then ``np.searchsorted`` in its sorted keys.  The relaxation's layout finds
 slots this way and a ``MomentTable`` its values; a table is built once and
-never changed.  The initial and oracle tables are built on the truncation's
-key set, ``MomentKeys.truncation``.  ``MomentIndex`` is the edge: ``get``,
-``in``, ``items`` and ``MomentTable.from_moments`` (CSV reader, tests).
+never changed.  ``MomentKeys.truncation``, the canonical rows of
+``indices.truncation_counts``, keys the layout and the initial and oracle
+tables.  ``MomentIndex`` is the edge: ``get``, ``in``, ``items`` and
+``MomentTable.from_moments`` (CSV reader, tests).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import numpy as np
 from .indices import (
     MomentIndex,
     TruncationDegrees,
-    basis_monomials,
     canonical_counts,
     count_freqs,
     mode_counts,
     moment_keys,
+    truncation_counts,
 )
 
 
@@ -54,13 +55,11 @@ class MomentKeys:
 
     @classmethod
     def truncation(cls, deg: TruncationDegrees) -> "MomentKeys":
-        """Canonical moments of a truncation in moment-vector order: the
-        canonical mode multisets of ell = 0, repeated for ell = 1..time."""
-        h = deg.harmonic
-        first = mode_counts([idx.freqs for idx in basis_monomials(0, deg.algebraic, h)], h)
-        first = first[~canonical_counts(first)[1]]
-        times = deg.time + 1
-        return cls(np.repeat(np.arange(times), len(first)), np.tile(first, (times, 1)))
+        """Canonical moments of a truncation: the rows of ``truncation_counts``
+        that are their own representative, in its order."""
+        ell, counts = truncation_counts(deg)
+        canonical = ~canonical_counts(counts)[1]
+        return cls(ell[canonical], counts[canonical])
 
     def __len__(self) -> int:
         return len(self.ell)

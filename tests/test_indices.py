@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from momentpde.indices import (
     enumerate_moment_vector,
     mode_counts,
     moment_keys,
+    truncation_counts,
 )
 from momentpde.models import MeasureTag
 from momentpde.relaxation import MOMENT, BlockSpec, block_specs
@@ -50,8 +53,22 @@ def test_size_table_closed_form():
 
 
 def test_enumeration_matches_closed_form_counts():
-    for triple in SIZE_TABLE:
+    for triple in [*SIZE_TABLE, (0, 0, 0)]:
         deg = TruncationDegrees(*triple)
+        time, algebraic, h = triple
+        ell, counts = truncation_counts(deg)
+        assert len(ell) == len(counts) == count_moment_vector(deg)
+        assert counts.dtype == np.int8
+        # the multisets of each time degree: by size, then as sorted tuples
+        first = [
+            [freqs.count(n) for n in range(-h, h + 1)]
+            for size in range(algebraic + 1)
+            for freqs in itertools.combinations_with_replacement(range(-h, h + 1), size)
+        ]
+        for t in range(time + 1):
+            rows = slice(t * len(first), (t + 1) * len(first))
+            assert (ell[rows] == t).all()
+            assert counts[rows].tolist() == first
         assert len(enumerate_moment_vector(deg)) == count_moment_vector(deg)
         assert len(enumerate_matrix_basis(deg)) == count_matrix_basis(deg)
 
@@ -70,6 +87,11 @@ def test_truncation_degree_validation():
         TruncationDegrees(2, 1, 2)
     with pytest.raises(ValueError):
         TruncationDegrees(2, 2, -1)
+    with pytest.raises(ValueError, match="time degree must be an integer"):
+        TruncationDegrees(2.0, 2, 2)
+    with pytest.raises(ValueError, match="harmonic degree must be an integer"):
+        TruncationDegrees(2, 2, True)
+    assert count_moment_vector(TruncationDegrees(np.int64(2), 2, 2)) == 63
 
 
 def test_moment_index_normalizes_freqs():

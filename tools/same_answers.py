@@ -11,10 +11,15 @@ Runs each ``src/`` tree in its own process, on one BLAS thread, over
 * the SDPA reconstructions ``from_sdpa_data(to_sdpa_data(problem))`` of the
   same three models at (2,2,2), (4,2,2), (6,2,4) and (4,4,2), which carry no
   pivots, with the default settings,
+* and, built but not solved, the ``export-large`` problems:
+  ``LocalQuadratic(0.1)`` at (4,4,4), ``DistributedQuadratic(0.1)`` and
+  ``Linear()`` at (6,4,4), and ``Linear()`` at (6,4,6),
 
-and compares, operation by operation, the bytes of ``x``, the status and the
-iteration count.  Prints every difference, with both objectives, and exits 1
-if there is one, 0 otherwise.  The two processes run side by side.
+and compares, operation by operation, the SHA-256 of the built problem
+(its SDPA entries and objective, ``eq_rhs``, ``eq_pivots`` and
+``zero_vars``), the bytes of ``x``, the status and the iteration count.
+Prints every difference, with both objectives, and exits 1 if there is one,
+0 otherwise.  The two processes run side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LOCAL_LAST = (4, 4, 2)  # the largest LocalQuadratic rung: (4,4,4) takes minutes
@@ -42,10 +49,25 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def problem_digest(problem) -> str:
+    """SHA-256 of a problem's SDPA entries and objective, ``eq_rhs``,
+    ``eq_pivots`` and ``zero_vars``."""
+    from momentpde import to_sdpa_data
+
+    data = to_sdpa_data(problem)
+    digest = hashlib.sha256()
+    for array in (data.entries, data.rhs, problem.eq_rhs, problem.eq_pivots, problem.zero_vars):
+        array = np.asarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 def answers(seeds: list[int]) -> None:
-    """Solve every operation with the package on sys.path; print one JSON
-    line per operation: label, SHA-256 of x's bytes, status, iterations,
-    objective."""
+    """Build, and solve, every operation with the package on sys.path; print
+    one JSON line per operation: label, problem digest, SHA-256 of x's
+    bytes, status, iterations, objective (the last four null if the
+    operation is only built)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from momentpde import (
@@ -74,13 +96,23 @@ def answers(seeds: list[int]) -> None:
             deg = TruncationDegrees(*triple)
             label = f"sdpa {model!r} {triple}"
             cases.append((label, model, deg, InitialData.default(), SolverSettings(), True))
+    for model, triple in (  # the export-large problems, built only
+        (LocalQuadratic(0.1), (4, 4, 4)),
+        (DistributedQuadratic(0.1), (6, 4, 4)),
+        (Linear(), (6, 4, 4)),
+        (Linear(), (6, 4, 6)),
+    ):
+        label = f"build {model!r} {triple}"
+        cases.append((label, model, TruncationDegrees(*triple), InitialData.default(), None, False))
     for label, model, deg, u0, settings, reconstruct in cases:
         problem = build_problem(model, deg, u0)
-        if reconstruct:
-            problem = from_sdpa_data(to_sdpa_data(problem))
-        x, report = solve(problem, settings)
-        digest = hashlib.sha256(x.tobytes()).hexdigest()
-        line = [label, digest, report.status, report.iterations, report.primal_objective]
+        line = [label, problem_digest(problem), None, None, None, None]
+        if settings is not None:
+            if reconstruct:
+                problem = from_sdpa_data(to_sdpa_data(problem))
+            x, report = solve(problem, settings)
+            digest = hashlib.sha256(x.tobytes()).hexdigest()
+            line[2:] = [digest, report.status, report.iterations, report.primal_objective]
         print(json.dumps(line), flush=True)
 
 
@@ -109,14 +141,18 @@ def main() -> int:
         print("a side failed: exit codes", [p.returncode for p in procs])
         return 1
     old, new = ([json.loads(line) for line in out.splitlines()] for out in outputs)
-    same = [a[:4] == b[:4] for a, b in zip(old, new)]  # the objective is only shown
+    same = [a[:5] == b[:5] for a, b in zip(old, new)]  # the objective is only shown
     for a, b, equal in zip(old, new, same):
-        if not equal:
-            print(f"{a[0]}: x {a[1][:12]} {a[2]} {a[3]} iterations {a[4]!r}", end="")
-            print(f" -> x {b[1][:12]} {b[2]} {b[3]} iterations {b[4]!r}", end="")
-            print(f" (objective {abs(b[4] - a[4]) / max(abs(a[4]), 1e-300):.1e} relative)")
+        if equal:
+            continue
+        print(f"{a[0]}: problem {a[1][:12]} -> {b[1][:12]}", end="")
+        if a[2] is not None and b[2] is not None:
+            print(f", x {a[2][:12]} {a[3]} {a[4]} iterations {a[5]!r}", end="")
+            print(f" -> x {b[2][:12]} {b[3]} {b[4]} iterations {b[5]!r}", end="")
+            print(f" (objective {abs(b[5] - a[5]) / max(abs(a[5]), 1e-300):.1e} relative)", end="")
+        print()
     total = max(len(old), len(new))
-    print(f"{sum(same)} of {total} operations give the same x, status and iterations")
+    print(f"{sum(same)} of {total} operations give the same problem, x, status and iterations")
     return 0 if sum(same) == len(old) == len(new) else 1
 
 
