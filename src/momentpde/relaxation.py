@@ -39,14 +39,22 @@ order of ``canonicalize``.  The layout holds each measure's moments as a
 ``tables.MomentKeys`` in slot order: ``VariableLayout.lookup`` finds slots by
 the key search by which a ``MomentTable`` finds values, and extraction,
 embedding and ``hermitian_matrix`` are one table lookup each.
-``build_problem`` looks up the upper terms of each block spec once, and
-three readers share the terms and their slots: ``_real_block``, which builds
-K; the objective, 1.0 at the real slot of each diagonal term of a moment
-block; and ``_dead_face``.  The equality rows use the same lookup on the
-count rows of ``MomentEquations``, and the initial table for their constants.
-The pivot of a row, the slot its recursion step solves for, comes from its
-test index (ell, C): the terminal moment (0, C) at ell = 0, else the
-occupation moment (ell - 1, C).
+
+The count row of an entry and its conjugation depend only on the multisets
+of its row and column, not on their time degrees.  So
+``BlockSpec.upper_terms`` canonicalizes each pair of basis multisets once
+and describes the terms on and above the diagonal as ``BlockTerms``: per
+term its entry, sign, conjugation and the number of its moment among the
+block's distinct canonical moments, which are listed once.  Both
+``hermitian_matrix`` and ``build_problem`` look up only the distinct
+moments and give each term its value or slots by a gather.  Three readers
+share a block's terms and slots: ``_real_block``, which builds K in real
+arithmetic; the objective, 1.0 at the real slot of each diagonal term of a
+moment block; and ``_dead_face``.  The equality rows use the same lookup on
+the count rows of ``MomentEquations``, and the initial table for their
+constants.  The pivot of a row, the slot its recursion step solves for,
+comes from its test index (ell, C): the terminal moment (0, C) at ell = 0,
+else the occupation moment (ell - 1, C).
 
 ``build_problem`` also records the dead-mode face, ``ConicProblem.zero_vars``:
 the moments that a certificate (see ``_dead_face``) shows to be zero on every
@@ -66,6 +74,7 @@ from .indices import (
     MomentIndex,
     TruncationDegrees,
     basis_monomials,
+    canonical_counts,
     count_freqs,
     enumerate_matrix_basis,
     mode_counts,
@@ -234,6 +243,26 @@ LOCALIZER = ((1, 1), (2, -1))  # weight t(1 - t) = t - t^2
 
 
 @dataclass(frozen=True)
+class BlockTerms:
+    """The terms on and above the diagonal of a block spec, ordered by row,
+    then column, then term, over the block's distinct moments.
+
+    Term i adds ``sign[i]`` times moment ``moment[i]``, conjugated where
+    ``conjugated[i]``, to entry (``row[i]``, ``col[i]``).  Moment j is the
+    canonical moment of time degree ``ell[j]`` and count row ``counts[j]``;
+    each is listed once.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    sign: np.ndarray
+    moment: np.ndarray
+    conjugated: np.ndarray
+    ell: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass(frozen=True)
 class BlockSpec:
     """One Hermitian PSD block: its basis and the moment terms of an entry."""
 
@@ -243,20 +272,48 @@ class BlockSpec:
     terms: tuple[tuple[int, int], ...]  # (time shift, sign) per moment
     harmonic: int  # modes -harmonic..harmonic of the count rows
 
-    def upper_terms(self) -> tuple[np.ndarray, ...]:
-        """Arrays (row, col, sign, time degree, count row) of every term on or
-        above the diagonal, ordered by row, then column, then term."""
+    def upper_terms(self) -> BlockTerms:
+        """The terms on and above the diagonal and their distinct moments.
+
+        The count row C_a + reversed(C_b) of an entry and its conjugation
+        depend only on the multisets a, b of its row and column, so each
+        pair of basis multisets is canonicalized once; a term's moment is
+        then its time degree and its pair's canonical row.
+        """
+        multisets = {}  # numbered in basis order
+        a = np.array(
+            [multisets.setdefault(b.freqs, len(multisets)) for b in self.basis], dtype=np.intp
+        )
         th = np.array([b.time_degree for b in self.basis], dtype=np.int64)
-        counts = mode_counts([b.freqs for b in self.basis], self.harmonic)
+        counts = mode_counts(list(multisets), self.harmonic)
+        n, w = counts.shape
+        # pair a * n + b, and the number of its canonical row
+        canon, conjugated = canonical_counts(
+            (counts[:, None] + counts[None, :, ::-1]).reshape(n * n, w)
+        )
+        _, first, canon_row = np.unique(
+            canon.view(np.dtype((np.void, w))).ravel(),  # one key per row
+            return_index=True,
+            return_inverse=True,
+        )
         r, c = np.triu_indices(len(self.basis))
         shift, sign = np.array(self.terms, dtype=np.int64).T
-        n = len(self.terms)
-        return (
-            np.repeat(r, n),
-            np.repeat(c, n),
-            np.tile(sign, len(r)),
-            np.repeat(th[r] + th[c], n) + np.tile(shift, len(r)),
-            np.repeat(counts[r] + counts[c, ::-1], n, axis=0),
+        k, width = len(self.terms), len(first)
+        pair = a[r] * n + a[c]
+        # each term's moment as ell * width + canonical row; marking them
+        # numbers the distinct ones in that order
+        flat = np.add.outer((th[r] + th[c]) * width + canon_row[pair], shift * width).ravel()
+        held = np.zeros(int(flat.max(initial=-1)) + 1, dtype=bool)
+        held[flat] = True
+        ell, row = np.divmod(np.flatnonzero(held), width)
+        return BlockTerms(
+            row=np.repeat(r, k),
+            col=np.repeat(c, k),
+            sign=np.tile(sign, len(r)),
+            moment=(np.cumsum(held) - 1)[flat],
+            conjugated=np.repeat(conjugated[pair], k),
+            ell=ell,
+            counts=canon[first[row]],
         )
 
 
@@ -284,36 +341,58 @@ def block_specs(deg: TruncationDegrees) -> tuple[BlockSpec, BlockSpec, BlockSpec
     )
 
 
+def _term_slots(
+    layout: VariableLayout, measure: MeasureTag, terms: BlockTerms
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real slot, imaginary slot and imaginary sign of each term; the
+    layout looks up each distinct moment once."""
+    real, imag, _ = layout.lookup(measure, terms.ell, terms.counts)
+    return real[terms.moment], imag[terms.moment], np.where(terms.conjugated, -1, 1)
+
+
 def _real_block(
-    spec: BlockSpec, terms: tuple[np.ndarray, ...], slots: tuple[np.ndarray, ...], num_vars: int
+    spec: BlockSpec, terms: BlockTerms, slots: tuple[np.ndarray, ...], num_vars: int
 ) -> Block:
-    """The spec's block as an affine map into K = V* H V (module docstring)."""
+    """The spec's block as an affine map into K = V* H V (module docstring),
+    from the terms and their slots in real arithmetic, one pass at a time."""
     m = len(spec.basis)
-    row = {b: i for i, b in enumerate(spec.basis)}
-    mirror = np.array([row[MomentIndex(b.time_degree, [-n for n in b.freqs])] for b in spec.basis])
-    # Per upper-triangle term, H gains sign through the real slot and
-    # i * sign * conj through the imaginary slot, if there is one.
-    (r, c, sign, _, _), (real, imag, conj) = terms, slots
-    has_imag = imag >= 0
-    r, c = np.concatenate([r, r[has_imag]]), np.concatenate([c, c[has_imag]])
-    var = np.concatenate([real, imag[has_imag]])
-    h = np.concatenate([sign, 1j * (sign * conj)[has_imag]])
+    row = {(b.time_degree, b.freqs): i for i, b in enumerate(spec.basis)}
+    mirror = np.array(
+        [row[b.time_degree, tuple(-n for n in reversed(b.freqs))] for b in spec.basis]
+    )
     # V = W S with S = 1/sqrt(2) on pair columns: row j of W holds 1 at
-    # column min(j, Pj) and i sign(Pj - j) at max(j, Pj), 0 on a self row.
-    # K[p, q] sums the real parts of conj(W[j, p]) W[k, q] H[j, k]; the
-    # conjugate H[c, r] below the diagonal adds the same to K[q, p].
+    # column lo_j = min(j, Pj) and i t_j at hi_j = max(j, Pj), t_j =
+    # sign(Pj - j), 0 on a self row.  A term puts h = sign on H[j, k]
+    # through its real slot and h = i s, s = sign * conj, through its
+    # imaginary slot.  Its share Re(conj(W[j, p]) W[k, q] h) of K[p, q] is
+    # sign at (lo_j, lo_k) and t_j t_k sign at (hi_j, hi_k) for the real
+    # slot, -t_k s at (lo_j, hi_k) and t_j s at (hi_j, lo_k) for the
+    # imaginary one; the conjugate H[k, j] below the diagonal adds the
+    # same to K[q, p].
     turn = np.sign(mirror - np.arange(m))
-    col = np.sort([np.arange(m), mirror], axis=0)
-    w = np.stack([np.ones(m), 1j * turn])
+    lo, hi = np.minimum(mirror, np.arange(m)), np.maximum(mirror, np.arange(m))
+    # exact: the scale is never a product of rounded square roots
+    scale = np.array([1.0, np.sqrt(0.5), 0.5])
+    paired = abs(turn)
+    r, c, sign = terms.row, terms.col, terms.sign
+    real, imag, conj = slots
+    has_imag = imag >= 0
+    ri, ci, var, s = r[has_imag], c[has_imag], imag[has_imag], (sign * conj)[has_imag]
+
+    def passes():
+        yield r, c, real, lo, lo, sign
+        yield r, c, real, hi, hi, turn[r] * turn[c] * sign
+        yield ri, ci, var, lo, hi, -turn[ci] * s
+        yield ri, ci, var, hi, lo, turn[ri] * s
+
     pos, cols, vals = [], [], []
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        value = (w[a, r].conj() * w[b, c] * h).real
-        keep = value != 0.0
-        p, q, low = col[a, r[keep]], col[b, c[keep]], r[keep] < c[keep]
-        # exact: the scale is never a product of rounded square roots
-        value = value[keep] * np.array([1.0, np.sqrt(0.5), 0.5])[abs(turn[p]) + abs(turn[q])]
+    for j, k, v, left, right, value in passes():
+        keep = value != 0
+        j, k, v, value = j[keep], k[keep], v[keep], value[keep]
+        p, q, low = left[j], right[k], j < k
+        value = value * scale[paired[j] + paired[k]]
         pos += [p * m + q, (q * m + p)[low]]
-        cols += [var[keep], var[keep][low]]
+        cols += [v, v[low]]
         vals += [value, value[low]]
     coeffs = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(pos), np.concatenate(cols))),
@@ -375,7 +454,7 @@ def _equalities(
 
 def _dead_face(
     equations: MomentEquations,
-    moment_blocks: list[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]],
+    moment_blocks: list[tuple[BlockTerms, tuple[np.ndarray, ...]]],
     u0: InitialData,
     num_vars: int,
 ) -> np.ndarray:
@@ -408,10 +487,12 @@ def _dead_face(
     clean = np.bincount(equations.eq[off_row], minlength=len(equations)) == 0
     known = MomentKeys(equations.test_ell[clean], equations.test_counts[clean])
     zero = np.zeros(num_vars, dtype=bool)
-    for (r, c, _, ell, counts), (real, imag, _) in moment_blocks:
+    for terms, (real, imag, _) in moment_blocks:
         # one term per entry, so the diagonal terms come in row order; their
         # time degree 2 th is the last one the certificate needs
-        top, diagonal = ell[r == c], counts[r == c]
+        r, c = terms.row, terms.col
+        moment = terms.moment[r == c]
+        top, diagonal = terms.ell[moment], terms.counts[moment]
         certified = (diagonal[:, dead] > 0).any(axis=1) & (diagonal @ modes**2 > 0)
         for t in range(int(top.max()) + 1):
             certified &= known.contains(np.full(len(top), t), diagonal) | (t > top)
@@ -442,15 +523,15 @@ def build_problem(
 
     specs = block_specs(deg)
     terms = [spec.upper_terms() for spec in specs]
-    slots = [layout.lookup(spec.measure, *t[3:]) for spec, t in zip(specs, terms)]
+    slots = [_term_slots(layout, spec.measure, t) for spec, t in zip(specs, terms)]
     blocks = [_real_block(*args, n) for args in zip(specs, terms, slots)]
     moment_blocks = [(t, s) for spec, t, s in zip(specs, terms, slots) if spec.terms == MOMENT]
 
     # Objective: the Hermitian traces of the moment blocks, 1.0 at the real
     # slot of each diagonal term.
     objective = np.zeros(n)
-    for (r, c, *_), (real, *_) in moment_blocks:
-        np.add.at(objective, real[r == c], 1.0)
+    for t, (real, *_) in moment_blocks:
+        np.add.at(objective, real[t.row == t.col], 1.0)
 
     model_name = type(model).__name__
     return ConicProblem(
@@ -512,8 +593,10 @@ def hermitian_matrix(spec: BlockSpec, table: MomentTable) -> np.ndarray:
     """Numeric Hermitian matrix of a block spec over one moment table."""
     m = len(spec.basis)
     h = np.zeros((m, m), dtype=complex)
-    r, c, sign, ell, counts = spec.upper_terms()
-    np.add.at(h, (r, c), sign * table.lookup(ell, counts))
+    terms = spec.upper_terms()
+    values = table.lookup(terms.ell, terms.counts)[terms.moment]
+    values = np.where(terms.conjugated, values.conj(), values)
+    np.add.at(h, (terms.row, terms.col), terms.sign * values)
     lower = np.tril_indices(m)
     h[lower] = h.T[lower].conj()
     return h

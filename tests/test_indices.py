@@ -143,16 +143,24 @@ def test_canonicalize_involution_under_negation(idx):
         assert flipped.conjugated != canon.conjugated
 
 
+# a hand-built basis, not closed under the reflection a -> -a
+EXAMPLE_BASIS = [MomentIndex(0, ()), MomentIndex(1, (1,)), MomentIndex(0, (2,)), MomentIndex(0, (1,))]
+
+
+def term_indices(terms, harmonic):
+    """The moment index of each upper term of a ``BlockTerms``."""
+    listed = list(map(MomentIndex, terms.ell.tolist(), count_freqs(terms.counts, harmonic)))
+    return [
+        negated(listed[j]) if conjugated else listed[j]
+        for j, conjugated in zip(terms.moment.tolist(), terms.conjugated.tolist())
+    ]
+
+
 def test_entry_index_examples():
     # entry (r, c) is the row monomial times the conjugated column monomial
-    basis = [MomentIndex(0, ()), MomentIndex(1, (1,)), MomentIndex(0, (2,)),
-             MomentIndex(0, (1,))]
-    spec = BlockSpec("example", MeasureTag.OCCUPATION, basis, MOMENT, 2)
-    r, c, _, ell, counts = spec.upper_terms()
-    entries = {
-        (int(i), int(j)): MomentIndex(int(t), f)
-        for i, j, t, f in zip(r, c, ell, count_freqs(counts, 2))
-    }
+    spec = BlockSpec("example", MeasureTag.OCCUPATION, EXAMPLE_BASIS, MOMENT, 2)
+    terms = spec.upper_terms()
+    entries = dict(zip(zip(terms.row.tolist(), terms.col.tolist()), term_indices(terms, 2)))
     assert entries[(1, 2)] == MomentIndex(1, (1, -2))
     assert entries[(0, 0)] == MomentIndex(0, ())
     assert entries[(3, 3)] == MomentIndex(0, (1, -1))
@@ -167,12 +175,15 @@ def test_matrix_entries_stay_inside_truncation(triple):
     deg = TruncationDegrees(*triple)
     universe = set(enumerate_moment_vector(deg))
     for spec in block_specs(deg):
-        _, _, _, ell, counts = spec.upper_terms()
+        terms = spec.upper_terms()
         m = len(spec.basis)
-        assert len(ell) == len(spec.terms) * m * (m + 1) // 2
-        freqs = count_freqs(counts, deg.harmonic)
-        moments = {MomentIndex(int(t), f) for t, f in zip(ell, freqs)}
-        assert moments <= universe
+        assert len(terms.moment) == len(spec.terms) * m * (m + 1) // 2
+        assert set(term_indices(terms, deg.harmonic)) <= universe
+        # the listed moments are canonical, distinct and each one used
+        listed = moment_keys(terms.ell, terms.counts)
+        assert not canonical_counts(terms.counts)[1].any()
+        assert len(np.unique(listed)) == len(listed)
+        assert np.array_equal(np.unique(terms.moment), np.arange(len(listed)))
 
 
 def test_enumeration_is_deterministic_and_ordered():

@@ -21,6 +21,8 @@ from momentpde.models import (
     generate_constraints,
 )
 from momentpde.relaxation import (
+    MOMENT,
+    BlockSpec,
     Slot,
     block_specs,
     build_layout,
@@ -39,6 +41,7 @@ from momentpde.tables import (
     write_table_csv,
 )
 
+from test_indices import EXAMPLE_BASIS
 from test_solver import MODELS
 
 
@@ -210,7 +213,10 @@ PHASES = InitialData(
 
 @pytest.mark.parametrize("datum", ["default", "phases"])
 @pytest.mark.parametrize("source", ["analytic", "random"])
-@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2)], ids=lambda t: "%d-%d-%d" % t)
+# (4,2,4): many pairs of basis multisets share one canonical count row
+@pytest.mark.parametrize(
+    "triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2), (4, 2, 4)], ids=lambda t: "%d-%d-%d" % t
+)
 @pytest.mark.parametrize("model", MODELS, ids=["linear", "distributed", "local"])
 def test_real_blocks_match_numeric_hermitian_blocks(u0, model, triple, source, datum):
     u0 = u0 if datum == "default" else PHASES
@@ -246,6 +252,40 @@ def test_real_blocks_match_numeric_hermitian_blocks(u0, model, triple, source, d
     localizing = numeric["occupation_localizing"]
     assert localizing[0, col] == pytest.approx(expected, abs=1e-14)
     assert localizing[col, 0] == pytest.approx(expected.conjugate(), abs=1e-14)
+
+
+def loop_hermitian(spec, table):
+    """Reference for ``hermitian_matrix``: entry (r, c), r <= c, summed term
+    by term, one ``MomentIndex`` per term, in the spec's term order; entry
+    (c, r), the diagonal included, is its conjugate."""
+    m = len(spec.basis)
+    h = np.zeros((m, m), dtype=complex)
+    for r, row in enumerate(spec.basis):
+        for c in range(r, m):
+            col = spec.basis[c]
+            freqs = row.freqs + tuple(-n for n in col.freqs)
+            total = 0j
+            for shift, sign in spec.terms:
+                ell = row.time_degree + col.time_degree + shift
+                total += sign * table.get(MomentIndex(ell, freqs))
+            h[r, c], h[c, r] = total, total.conjugate()
+    return h
+
+
+@pytest.mark.parametrize("triple", [None, (2, 2, 2), (4, 2, 4), (2, 2, 20), (0, 2, 2)])
+def test_hermitian_matrix_matches_entry_loop(triple):
+    # None: the hand-built spec of test_entry_index_examples; at (0,2,2) the
+    # localizer's basis is empty
+    deg = TruncationDegrees(*(triple or (2, 2, 2)))
+    tables = random_tables(deg, 3)
+    if triple is None:
+        specs = [BlockSpec("example", MeasureTag.OCCUPATION, EXAMPLE_BASIS, MOMENT, 2)]
+    else:
+        specs = block_specs(deg)
+    for spec in specs:
+        table = tables[spec.measure]
+        got, want = relaxation.hermitian_matrix(spec, table), loop_hermitian(spec, table)
+        assert got.tobytes() == want.tobytes(), spec.name  # bit for bit
 
 
 def test_objective_is_sum_of_hermitian_traces(u0, deg222):

@@ -16,8 +16,9 @@ Runs each ``src/`` tree in its own process, on one BLAS thread, over
   ``Linear()`` at (6,4,4), and ``Linear()`` at (6,4,6),
 
 and compares, operation by operation, the SHA-256 of the built problem
-(its SDPA entries and objective, ``eq_rhs``, ``eq_pivots`` and
-``zero_vars``), the bytes of ``x``, the status and the iteration count.
+(its SDPA entries and objective, ``eq_rhs``, ``eq_pivots``, ``zero_vars``
+and the CSR arrays of each block's ``coeffs`` and of ``eq_matrix``), the
+bytes of ``x``, the status and the iteration count.
 Prints every difference, with both objectives, and exits 1 if there is one,
 0 otherwise.  The two processes run side by side.
 """
@@ -51,12 +52,20 @@ def parse_seeds(text: str) -> list[int]:
 
 def problem_digest(problem) -> str:
     """SHA-256 of a problem's SDPA entries and objective, ``eq_rhs``,
-    ``eq_pivots`` and ``zero_vars``."""
+    ``eq_pivots``, ``zero_vars`` and the CSR arrays (``indptr``, ``indices``,
+    ``data``) of each block's ``coeffs`` and of ``eq_matrix``.
+
+    The SDPA entries are sorted, so only the CSR arrays show the order of
+    the entries within a row, which is the order in which the solver sums
+    them."""
     from momentpde import to_sdpa_data
 
     data = to_sdpa_data(problem)
+    arrays = [data.entries, data.rhs, problem.eq_rhs, problem.eq_pivots, problem.zero_vars]
+    for matrix in [block.coeffs for block in problem.blocks] + [problem.eq_matrix]:
+        arrays += [matrix.indptr, matrix.indices, matrix.data]
     digest = hashlib.sha256()
-    for array in (data.entries, data.rhs, problem.eq_rhs, problem.eq_pivots, problem.zero_vars):
+    for array in arrays:
         array = np.asarray(array)
         digest.update(f"{array.dtype.str}{array.shape}".encode())
         digest.update(np.ascontiguousarray(array).tobytes())
