@@ -10,8 +10,12 @@ by the same block-to-entries rule.  ``from_sdpa_data`` is the exact inverse
 of ``to_sdpa_data``: it reads that block back as E x = f and rejects any
 other diagonal block.
 The entries stay one float64 array of rows (matno, blkno, i, j, value) from
-assembly to file and back; the writer limits the indices to 32 bits, so the
-array holds them exactly.
+assembly to file and back, in file order: by matno, blkno, i, j and then
+value.  ``to_sdpa_data`` produces that order without a comparison sort, from
+each block's CSC transpose and one stable merge on matno; ``read_sdpa`` sorts,
+since a file may list its entries in any order.  The indices are limited to
+32 bits, so the array holds them exactly: ``to_sdpa_data`` rejects a problem
+too large for them, and the writer any index that is not such an integer.
 Values are rendered with 17 significant digits so doubles round-trip bit-exactly.
 
 Every number is rendered once per file: the writer keeps one table of the
@@ -34,6 +38,7 @@ import scipy.sparse as sp
 from .relaxation import Block, ConicProblem
 
 _CHUNK = 65536  # rows written at a time
+_INDEX_MIN, _INDEX_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
 
 
 @dataclass
@@ -57,34 +62,53 @@ def _sorted(entries: np.ndarray) -> np.ndarray:
 
 def _block_entries(coeffs: sp.csr_matrix, const: np.ndarray, size: int, blkno: int) -> np.ndarray:
     """Entry rows of one block of SDPA size ``size`` (negative: diagonal, one
-    row per diagonal entry): F_0 = -const is matrix 0, the coefficients of
-    variable k are matrix k + 1, full blocks keep the upper triangle and zeros
-    are dropped."""
-    coo = coeffs.tocoo()
+    row per diagonal entry), in file order: F_0 = -const is matrix 0, the
+    coefficients of variable k are matrix k + 1, each matrix by position;
+    full blocks keep the upper triangle and zeros are dropped.
+
+    The CSC transpose of the CSR ``coeffs`` lists its entries by variable,
+    then position, by a counting sort.  Unsummed duplicates stay separate
+    rows; only a block that may hold them (``coeffs`` not in canonical
+    format) has its rows sorted, which puts the values at one position in
+    order."""
+    csc = coeffs.tocsc()
     nonzero = np.flatnonzero(const)
-    pos = np.concatenate([nonzero, coo.row])
-    matno = np.concatenate([np.zeros(len(nonzero)), coo.col + 1])
-    value = np.concatenate([-const[nonzero], coo.data])
+    pos = np.concatenate([nonzero, csc.indices])
+    counts = np.concatenate([[len(nonzero)], np.diff(csc.indptr)])  # per matrix
+    matno = np.repeat(np.arange(len(counts)), counts)
+    value = np.concatenate([-const[nonzero], csc.data])
     i, j = (pos, pos) if size < 0 else np.divmod(pos, size)
     keep = (value != 0.0) & (i <= j)
     matno, i, j, value = matno[keep], i[keep] + 1, j[keep] + 1, value[keep]
-    return np.column_stack([matno, np.full(len(value), blkno), i, j, value])
+    rows = np.column_stack([matno, np.full(len(value), blkno), i, j, value])
+    return rows if coeffs.has_canonical_format else _sorted(rows)
 
 
 def to_sdpa_data(problem: ConicProblem) -> SdpaData:
+    """The file content of ``problem``: its blocks, then the equality pairs
+    as the last, diagonal block (see the module docstring).
+
+    The entry rows come out in file order, by matno, blkno, i and j, with no
+    comparison sort: each block lists its rows by matno and position (see
+    ``_block_entries``), the blocks follow in blkno order, and one stable
+    sort on matno merges these runs.  A CSR duplicate in a block's
+    ``coeffs`` (two stored values of one variable at one position) stays
+    two rows, ordered by value, as ``read_sdpa`` orders them.
+    """
     parts = [(b.coeffs, b.const, b.size) for b in problem.blocks]
     if problem.num_eq:  # the equality pairs, last, as a diagonal block
         eq, f, p = problem.eq_matrix, problem.eq_rhs, problem.num_eq
         parts.append((sp.vstack([eq, -eq], format="csr"), np.concatenate([-f, f]), -2 * p))
     sizes = [size for _, _, size in parts]
-    if max([problem.num_vars + 1, *map(abs, sizes)]) > np.iinfo(np.int32).max:
+    if max([problem.num_vars + 1, *map(abs, sizes)]) > _INDEX_MAX:
         raise ValueError("too many variables or too large a block for 32-bit entry indices")
     rows = (_block_entries(*part, k) for k, part in enumerate(parts, start=1))
+    entries = np.concatenate([np.zeros((0, 5)), *rows])
     return SdpaData(
         num_constraints=problem.num_vars,
         block_sizes=sizes,
         rhs=[float(v) for v in problem.objective],
-        entries=_sorted(np.concatenate([np.zeros((0, 5)), *rows])),
+        entries=entries[np.argsort(entries[:, 0], kind="stable")],
     )
 
 
@@ -105,7 +129,8 @@ def _text_table(texts: list[str]) -> np.ndarray:
 
 # A field of the written rows: its sorted distinct keys, their texts as a
 # table (row k is the text of key k), and its values, one per written row
-# (1-D) or several adjacent columns per written row (2-D).
+# (1-D) or several adjacent columns per written row (2-D), searched a chunk
+# at a time as the keys' dtype.
 _Field = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -120,7 +145,10 @@ def _float_field(values) -> _Field:
 def _join(fields: list[_Field], rows: slice) -> bytes:
     """Text of the given rows: each row's texts of every field, side by side."""
     # column by column, the searches mostly walk up the keys
-    parts = [table[np.searchsorted(keys, values[rows].T).T] for keys, table, values in fields]
+    parts = [
+        table[np.searchsorted(keys, values[rows].astype(keys.dtype, copy=False).T).T]
+        for keys, table, values in fields
+    ]
     words = np.concatenate([p.reshape(len(p), math.prod(p.shape[1:])) for p in parts], axis=1)
     return words.tobytes().translate(None, b"\0")  # drops the padding
 
@@ -130,11 +158,22 @@ def _write_fields(f, fields: list[_Field]) -> None:
         f.write(_join(fields, slice(k, k + _CHUNK)))
 
 
+def _is_index(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` are integers of 32 bits; NaN is not."""
+    return (values >= _INDEX_MIN) & (values <= _INDEX_MAX) & (np.floor(values) == values)
+
+
 def write_sdpa_data(data: SdpaData, path: str | Path) -> None:
+    """Write ``data`` as a .dat-s file.  An index that is not an integer of
+    32 bits raises ``ValueError`` naming the first entry that has one."""
     columns = data.entries[:, :4]  # matno blkno i j
-    keys = _distinct(columns)
+    keys = _distinct(columns)  # checked here, where each value occurs once
+    if not _is_index(keys).all():
+        e = _first(data.entries, ~_is_index(columns).all(axis=1))
+        raise ValueError(f"entry {e} has an index that is not an integer of 32 bits")
+    keys = keys.astype(np.int64)  # integers search faster than floats
     fields = [
-        (keys, _text_table([f"{k} " for k in keys.astype(np.int64).tolist()]), columns),
+        (keys, _text_table([f"{k} " for k in keys.tolist()]), columns),
         _float_field(data.entries[:, 4]),
     ]
     objective = _join([_float_field(data.rhs)], slice(None))
@@ -205,9 +244,9 @@ def read_sdpa(path: str | Path) -> SdpaData:
 
 
 def _first(entries: np.ndarray, bad: np.ndarray) -> tuple | None:
-    """The first entry row where ``bad`` holds, indices as ints."""
+    """The first entry row where ``bad`` holds, integer indices as ints."""
     row = entries[np.flatnonzero(bad)[:1]].tolist()
-    return (*map(int, row[0][:4]), row[0][4]) if row else None
+    return (*(int(v) if v.is_integer() else v for v in row[0][:4]), row[0][4]) if row else None
 
 
 def from_sdpa_data(data: SdpaData) -> ConicProblem:

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentpde.indices import TruncationDegrees
 from momentpde.models import InitialData, Linear
@@ -349,6 +351,77 @@ def test_reversed_file_reads_back_in_writer_order(tmp_path):
     assert same_data(read_sdpa(path), expected)
 
 
+def sorted_reference(problem):
+    """Entry rows as the writer once ordered them: each block's rows from the
+    COO of its coefficients, then one lexsort of all rows by matno, blkno, i,
+    j and value."""
+    parts = [(b.coeffs, b.const, b.size) for b in problem.blocks]
+    if problem.num_eq:
+        eq, f = problem.eq_matrix, problem.eq_rhs
+        parts.append((sp.vstack([eq, -eq], format="csr"), np.concatenate([-f, f]), -2 * len(f)))
+    rows = [np.zeros((0, 5))]
+    for blkno, (coeffs, const, size) in enumerate(parts, start=1):
+        coo = coeffs.tocoo()
+        nonzero = np.flatnonzero(const)
+        pos = np.concatenate([nonzero, coo.row])
+        matno = np.concatenate([np.zeros(len(nonzero)), coo.col + 1])
+        value = np.concatenate([-const[nonzero], coo.data])
+        i, j = (pos, pos) if size < 0 else np.divmod(pos, size)
+        keep = (value != 0.0) & (i <= j)
+        block = [matno[keep], np.full(keep.sum(), blkno), i[keep] + 1, j[keep] + 1, value[keep]]
+        rows.append(np.column_stack(block))
+    entries = np.concatenate(rows)
+    return entries[np.lexsort(entries.T[::-1])]
+
+
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+
+
+def stored_csr(draw, shape):
+    """A CSR matrix stored as drawn: column indices in drawn order within a
+    row, explicit zeros and unsummed duplicates included."""
+    rows, cols = shape
+    if not rows or not cols:
+        return sp.csr_matrix(shape)
+    triples = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), VALUES),
+                            max_size=2 * rows * cols))
+    triples.sort(key=lambda t: t[0])  # stable: drawn order within a row
+    row, col, value = (np.array([t[k] for t in triples], dtype=d) for k, d in enumerate("iid"))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=rows))])
+    return sp.csr_matrix((value, col, indptr), shape=shape)
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(0, 5))
+    blocks = []
+    for k in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, 4))
+        const = np.array(draw(st.lists(VALUES, min_size=size * size, max_size=size * size)))
+        blocks.append(Block(name=f"b{k}", size=size, coeffs=stored_csr(draw, (size * size, n)),
+                            const=const))
+    p = draw(st.integers(0, 3))
+    return ConicProblem(
+        num_vars=n,
+        blocks=blocks,
+        eq_matrix=stored_csr(draw, (p, n)),
+        eq_rhs=np.array(draw(st.lists(VALUES, min_size=p, max_size=p)), dtype=float),
+        objective=np.ones(n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_problems())
+def test_entries_come_out_in_sorted_order(problem):
+    # Block sizes 1-4 with explicit zeros, lower-triangle entries, unsorted
+    # CSR indices, unsummed duplicates and zero constants: the entry rows,
+    # produced without a sort of all rows, are those of the full sort.
+    entries = to_sdpa_data(problem).entries
+    expected = sorted_reference(problem)
+    assert entries.dtype == expected.dtype and entries.shape == expected.shape
+    assert entries.tobytes() == expected.tobytes()
+
+
 def test_hand_built_block_constants_and_stored_zeros():
     # Full 2x2 block: row-major positions 0..3, with explicitly stored zeros
     # at positions 1 and 3, a constant off the diagonal and a lower-triangle
@@ -459,6 +532,26 @@ def test_writer_memory_does_not_follow_the_largest_index(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     assert path.read_bytes() == per_line_file(data)
+
+
+@pytest.mark.parametrize(
+    "index, shown",
+    [(1.5, "1.5"), (np.nan, "nan"), (np.inf, "inf"), (2.0**31, "2147483648"),
+     (-(2.0**31) - 1, "-2147483649")],
+)
+def test_writer_rejects_an_index_that_is_not_a_32_bit_integer(tmp_path, index, shown):
+    # the first such entry is named; none is cast to a wrong integer (or,
+    # for NaN, with a RuntimeWarning, which this suite turns into an error)
+    rows = np.array([(1, 1, 1, 1, 0.5), (1, 1, 1, 2, 0.25), (2, 1, 2, 2, -1.0)])
+    rows[1, 2] = rows[2, 3] = index
+    path = tmp_path / "bad.dat-s"
+    message = rf"entry \(1, 1, {shown}, 2, 0\.25\) has an index"
+    with pytest.raises(ValueError, match=message):
+        write_sdpa_data(SdpaData(2, [2], [1.0, 1.0], rows), path)
+    assert not path.exists()
+    rows[1, 2] = rows[2, 3] = 2**31 - 1  # the largest 32-bit index is written
+    write_sdpa_data(SdpaData(2, [2], [1.0, 1.0], rows), path)
+    assert path.read_bytes() == per_line_file(SdpaData(2, [2], [1.0, 1.0], rows))
 
 
 def test_solution_file_matches_per_value_formatter(tmp_path):

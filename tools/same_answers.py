@@ -16,9 +16,10 @@ Runs each ``src/`` tree in its own process, on one BLAS thread, over
   ``Linear()`` at (6,4,4), and ``Linear()`` at (6,4,6),
 
 and compares, operation by operation, the SHA-256 of the built problem
-(its SDPA entries and objective, ``eq_rhs``, ``eq_pivots``, ``zero_vars``
-and the CSR arrays of each block's ``coeffs`` and of ``eq_matrix``), the
-bytes of ``x``, the status and the iteration count.
+(its SDPA entries and objective, the bytes of its SDPA file, ``eq_rhs``,
+``eq_pivots``, ``zero_vars`` and the CSR arrays of each block's ``coeffs``
+and of ``eq_matrix``), the bytes of ``x``, the status and the iteration
+count.
 Prints every difference, with both objectives, and exits 1 if there is one,
 0 otherwise.  The two processes run side by side.
 """
@@ -50,18 +51,21 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def problem_digest(problem) -> str:
-    """SHA-256 of a problem's SDPA entries and objective, ``eq_rhs``,
+def problem_digest(problem, path: Path) -> str:
+    """SHA-256 of a problem's SDPA entries and objective, the bytes that
+    ``write_sdpa_data`` writes for them (to ``path``), ``eq_rhs``,
     ``eq_pivots``, ``zero_vars`` and the CSR arrays (``indptr``, ``indices``,
     ``data``) of each block's ``coeffs`` and of ``eq_matrix``.
 
     The SDPA entries are sorted, so only the CSR arrays show the order of
     the entries within a row, which is the order in which the solver sums
     them."""
-    from momentpde import to_sdpa_data
+    from momentpde.sdpa import to_sdpa_data, write_sdpa_data
 
     data = to_sdpa_data(problem)
-    arrays = [data.entries, data.rhs, problem.eq_rhs, problem.eq_pivots, problem.zero_vars]
+    write_sdpa_data(data, path)
+    arrays = [data.entries, data.rhs, np.frombuffer(path.read_bytes(), dtype=np.uint8)]
+    arrays += [problem.eq_rhs, problem.eq_pivots, problem.zero_vars]
     for matrix in [block.coeffs for block in problem.blocks] + [problem.eq_matrix]:
         arrays += [matrix.indptr, matrix.indices, matrix.data]
     digest = hashlib.sha256()
@@ -113,16 +117,18 @@ def answers(seeds: list[int]) -> None:
     ):
         label = f"build {model!r} {triple}"
         cases.append((label, model, TruncationDegrees(*triple), InitialData.default(), None, False))
-    for label, model, deg, u0, settings, reconstruct in cases:
-        problem = build_problem(model, deg, u0)
-        line = [label, problem_digest(problem), None, None, None, None]
-        if settings is not None:
-            if reconstruct:
-                problem = from_sdpa_data(to_sdpa_data(problem))
-            x, report = solve(problem, settings)
-            digest = hashlib.sha256(x.tobytes()).hexdigest()
-            line[2:] = [digest, report.status, report.iterations, report.primal_objective]
-        print(json.dumps(line), flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "problem.dat-s"
+        for label, model, deg, u0, settings, reconstruct in cases:
+            problem = build_problem(model, deg, u0)
+            line = [label, problem_digest(problem, path), None, None, None, None]
+            if settings is not None:
+                if reconstruct:
+                    problem = from_sdpa_data(to_sdpa_data(problem))
+                x, report = solve(problem, settings)
+                digest = hashlib.sha256(x.tobytes()).hexdigest()
+                line[2:] = [digest, report.status, report.iterations, report.primal_objective]
+            print(json.dumps(line), flush=True)
 
 
 def main() -> int:
