@@ -209,11 +209,21 @@ def generate_constraints(
 
     eq, coeff, term_ell, term_counts = (np.concatenate(column) for column in zip(*parts))
     # A moment repeated within an equation keeps its first place; its
-    # coefficients are summed in occurrence order.
-    _, first, group = np.unique(
-        np.column_stack([eq, term_ell, term_counts]), axis=0, return_index=True, return_inverse=True
-    )
-    total = np.bincount(group.ravel(), weights=coeff)
+    # coefficients are summed in occurrence order.  The terms are grouped by
+    # (equation, ell, count row) with a stable sort whose keys are the
+    # equation, ell and the count row's bytes zero-padded to whole 64-bit
+    # words: exact at any width, and each group's first occurrence leads it.
+    rows = np.zeros((len(eq), -(-(2 * h + 1) // 8) * 8), dtype=np.int8)
+    rows[:, : 2 * h + 1] = term_counts
+    keys = np.column_stack([eq, term_ell, rows.view(np.int64)])
+    order = np.lexsort(keys.T[::-1])  # the equation is the primary key
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = order[new]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    total = np.bincount(group, weights=coeff)
     place = np.lexsort((first, eq[first]))  # by equation, then by first occurrence
     first, total = first[place], total[place]
     first, total = first[total != 0], total[total != 0]

@@ -49,10 +49,11 @@ block's distinct canonical moments, which are listed once.  Both
 ``hermitian_matrix`` and ``build_problem`` look up only the distinct
 moments and give each term its value or slots by a gather.  Three readers
 share a block's terms and slots: ``_real_block``, which builds K in real
-arithmetic; the objective, 1.0 at the real slot of each diagonal term of a
-moment block; and ``_dead_face``.  The equality rows use the same lookup on
-the count rows of ``MomentEquations``, and the initial table for their
-constants.  The pivot of a row, the slot its recursion step solves for,
+arithmetic from one term of each reflection pair (j, k), (Pj, Pk), whose
+shares of K are equal; the objective, 1.0 at the real slot of each diagonal
+term of a moment block; and ``_dead_face``.  The equality rows use the same
+lookup on the count rows of ``MomentEquations``, and the initial table for
+their constants.  The pivot of a row, the slot its recursion step solves for,
 comes from its test index (ell, C): the terminal moment (0, C) at ell = 0,
 else the occupation moment (ell - 1, C).
 
@@ -354,7 +355,16 @@ def _real_block(
     spec: BlockSpec, terms: BlockTerms, slots: tuple[np.ndarray, ...], num_vars: int
 ) -> Block:
     """The spec's block as an affine map into K = V* H V (module docstring),
-    from the terms and their slots in real arithmetic, one pass at a time."""
+    from the terms and their slots in real arithmetic, one pass at a time.
+
+    A term (j, k) and its reflection (Pj, Pk) carry conjugate moments on the
+    same slots and put the same real share on the same entries of K, so only
+    the term of the smaller entry key j m + k is assembled, at twice its
+    value.  The sum is unchanged bit for bit: 2 v is exactly v + v, and
+    every coefficient of K is at most two equal shares.  The few entries
+    that still receive two shares (passes 3 and 4 of a term with k = Pj)
+    are summed by ``tocsr``, which leaves the CSR canonical.
+    """
     m = len(spec.basis)
     row = {(b.time_degree, b.freqs): i for i, b in enumerate(spec.basis)}
     mirror = np.array(
@@ -374,8 +384,14 @@ def _real_block(
     # exact: the scale is never a product of rounded square roots
     scale = np.array([1.0, np.sqrt(0.5), 0.5])
     paired = abs(turn)
-    r, c, sign = terms.row, terms.col, terms.sign
-    real, imag, conj = slots
+    # one term per reflection pair; the reflection of (j, k) is upper as
+    # (min(Pj, Pk), max(Pj, Pk)), doubled unless it is the term itself
+    key, pr, pc = terms.row * m + terms.col, mirror[terms.row], mirror[terms.col]
+    twin = np.minimum(pr, pc) * m + np.maximum(pr, pc)
+    keep = key <= twin
+    r, c = terms.row[keep], terms.col[keep]
+    sign = terms.sign[keep] * np.where(key < twin, 2, 1)[keep]
+    real, imag, conj = (a[keep] for a in slots)
     has_imag = imag >= 0
     ri, ci, var, s = r[has_imag], c[has_imag], imag[has_imag], (sign * conj)[has_imag]
 

@@ -254,13 +254,25 @@ def reference_equations(model, deg, canonical_only):
     return out
 
 
+REFERENCE_CASES = [
+    (triple, model)
+    for triple in [(2, 2, 2), (4, 2, 2), (4, 4, 2), (6, 2, 4)]
+    for model in [
+        Linear(), DistributedQuadratic(0.125), LocalQuadratic(0.125), DistributedQuadratic(0.1, 2, 1)
+    ]
+] + [
+    # 17 modes: a term's count row spans three 64-bit words of the merge key
+    ((2, 2, 8), Linear()),
+    ((2, 2, 8), LocalQuadratic(0.125)),
+    # no equation has an occupation term
+    ((0, 2, 0), Linear()),
+]
+
+
 @pytest.mark.parametrize("canonical_only", [False, True])
 @pytest.mark.parametrize(
-    "model",
-    [Linear(), DistributedQuadratic(0.125), LocalQuadratic(0.125), DistributedQuadratic(0.1, 2, 1)],
-    ids=repr,
+    "triple, model", REFERENCE_CASES, ids=[f"{t}-{m!r}" for t, m in REFERENCE_CASES]
 )
-@pytest.mark.parametrize("triple", [(2, 2, 2), (4, 2, 2), (4, 4, 2), (6, 2, 4)], ids=str)
 def test_equations_match_brute_force_reference(triple, model, canonical_only):
     deg = TruncationDegrees(*triple)
     equations = expand(generate_constraints(model, deg, canonical_only=canonical_only))

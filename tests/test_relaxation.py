@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from momentpde import relaxation
 from momentpde.analytic import analytic_tables
@@ -252,6 +253,63 @@ def test_real_blocks_match_numeric_hermitian_blocks(u0, model, triple, source, d
     localizing = numeric["occupation_localizing"]
     assert localizing[0, col] == pytest.approx(expected, abs=1e-14)
     assert localizing[col, 0] == pytest.approx(expected.conjugate(), abs=1e-14)
+
+
+def every_term_block(spec, terms, slots, num_vars):
+    """Reference for ``_real_block``: every upper term and its mirror below
+    the diagonal, the reflected terms included, summed by ``tocsr``."""
+    m = len(spec.basis)
+    row = {(b.time_degree, b.freqs): i for i, b in enumerate(spec.basis)}
+    mirror = np.array(
+        [row[b.time_degree, tuple(-n for n in reversed(b.freqs))] for b in spec.basis]
+    )
+    turn = np.sign(mirror - np.arange(m))
+    lo, hi = np.minimum(mirror, np.arange(m)), np.maximum(mirror, np.arange(m))
+    scale = np.array([1.0, np.sqrt(0.5), 0.5])
+    paired = abs(turn)
+    r, c, sign = terms.row, terms.col, terms.sign
+    real, imag, conj = slots
+    has_imag = imag >= 0
+    ri, ci, var, s = r[has_imag], c[has_imag], imag[has_imag], (sign * conj)[has_imag]
+    passes = [
+        (r, c, real, lo, lo, sign),
+        (r, c, real, hi, hi, turn[r] * turn[c] * sign),
+        (ri, ci, var, lo, hi, -turn[ci] * s),
+        (ri, ci, var, hi, lo, turn[ri] * s),
+    ]
+    pos, cols, vals = [], [], []
+    for j, k, v, left, right, value in passes:
+        keep = value != 0
+        j, k, v, value = j[keep], k[keep], v[keep], value[keep]
+        p, q, low = left[j], right[k], j < k
+        value = value * scale[paired[j] + paired[k]]
+        pos += [p * m + q, (q * m + p)[low]]
+        cols += [v, v[low]]
+        vals += [value, value[low]]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(pos), np.concatenate(cols))),
+        shape=(m * m, num_vars),
+    ).tocsr()
+
+
+# (4,2,4): many multiset pairs share one canonical row; (2,2,8): 17 modes
+@pytest.mark.parametrize(
+    "triple", [(2, 2, 2), (4, 2, 4), (4, 4, 2), (2, 2, 8)], ids=lambda t: "%d-%d-%d" % t
+)
+@pytest.mark.parametrize("model", MODELS, ids=["linear", "distributed", "local"])
+def test_real_blocks_match_every_term_assembly(u0, model, triple):
+    deg = TruncationDegrees(*triple)
+    problem = build_problem(model, deg, u0)
+    for block, spec in zip(problem.blocks, block_specs(deg)):
+        terms = spec.upper_terms()
+        slots = relaxation._term_slots(problem.layout, spec.measure, terms)
+        want = every_term_block(spec, terms, slots, problem.num_vars)
+        got = block.coeffs
+        # canonical CSR, so the SDPA export takes its sort-free path
+        assert got.has_canonical_format and (got.data != 0).all(), spec.name
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (spec.name, name)
 
 
 def loop_hermitian(spec, table):
